@@ -3,7 +3,7 @@ identities in dimensions ten and twelve.
 
 Subpackages:
 
-- ``exactmath``    exact q-series and residue arithmetic
+- ``exactmath``    exact q-series arithmetic
 - ``charring``     graded rings, virtual bundles, twist-bundle expansions
 - ``thetamod``     modular q-series, theta ratios, numeric transformation laws
 - ``anomaly``      the identity registry and its verification engine
@@ -18,9 +18,7 @@ from .exactmath import (
     NotInvertible,
     QExpSeries,
     RAT_RING,
-    Rat,
     RingMismatchError,
-    ZMod,
     qs_exp,
     qs_inv,
     qs_log,
@@ -29,7 +27,6 @@ from .exactmath import (
 from .charring import (
     ArgumentError,
     CalibrationError,
-    CohomQSeries,
     DegreeError,
     DimError,
     GradedPoly,

@@ -9,17 +9,15 @@ arithmetic, returning a `VerificationReport`.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import GRID, qs_exp, qs_mul
+from .exactmath import GRID, QExpSeries, qs_exp, qs_mul
 from .charring import (
-    CohomQSeries,
     PolyRing,
+    _accumulate,
     _exp_poly,
     calibrate_e8_roots,
     ch_tangent,
@@ -317,7 +315,7 @@ def _prefactor_series(kind, order, ring):
     exponent_poly = prefactor_exponent(kind, ring) * Fraction(1, 24)
     e2 = eisenstein(2, order)
     terms = {k: exponent_poly * coeff for k, coeff in e2.terms.items()}
-    return qs_exp(CohomQSeries(ring, order, terms))
+    return qs_exp(QExpSeries(ring, order, terms))
 
 
 def _core_adams(kind, order, ring):
@@ -336,11 +334,7 @@ def _core_theta(kind, order, ring):
 
     def add(series, poly):
         for grid_key, coeff in series.terms.items():
-            piece = poly * coeff
-            if grid_key in log_terms:
-                log_terms[grid_key] = log_terms[grid_key] + piece
-            else:
-                log_terms[grid_key] = piece
+            _accumulate(log_terms, grid_key, poly * coeff)
 
     if kind == "W":
         for c_k, pi_k in zip(theta_log_ratio("theta", order), sums):
@@ -361,7 +355,7 @@ def _core_theta(kind, order, ring):
             add(c_k, pi_k)
         constant = Fraction(64)
 
-    out = qs_exp(CohomQSeries(ring, order, log_terms))
+    out = qs_exp(QExpSeries(ring, order, log_terms))
     return out.scale(constant) if constant != 1 else out
 
 
@@ -399,7 +393,7 @@ def degree_part_series(series, degree):
         part = poly.homogeneous_part(degree)
         if not part.is_zero():
             terms[grid_key] = part
-    return CohomQSeries(series.ring, series.order, terms)
+    return QExpSeries(series.ring, series.order, terms)
 
 
 # ----------------------------------------------------------------------
@@ -899,27 +893,11 @@ def verify_identity(reg_id, order=6, cap=12):
     )
 
 
-def thread_count(job_count):
-    """Worker count for registry runs; CHARMOD_THREADS caps it."""
-    configured = os.environ.get("CHARMOD_THREADS", "")
-    try:
-        limit = int(configured)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, job_count))
-
-
 def run_registry(ids=None, order=6, cap=12):
-    """Verify the requested ids (default: all) and return reports in
-    registry order regardless of scheduling."""
+    """Verify the requested ids (default: all) and return their reports in
+    request order."""
     ids = list(ids) if ids is not None else list(REGISTRY_IDS)
     for reg_id in ids:
         if reg_id not in REGISTRY_IDS:
             raise ValueError("unknown registry id %r" % (reg_id,))
-    workers = thread_count(len(ids))
-    if workers == 1:
-        return [verify_identity(reg_id, order=order, cap=cap) for reg_id in ids]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: verify_identity(i, order=order, cap=cap), ids))
+    return [verify_identity(reg_id, order=order, cap=cap) for reg_id in ids]

@@ -313,10 +313,6 @@ class GradedPoly:
         return " + ".join(pieces).replace("+ -", "- ")
 
 
-#: q-series whose coefficients are graded polynomials.
-CohomQSeries = QExpSeries
-
-
 # Standard rings ---------------------------------------------------------
 
 #: Default generator table for the twelve-dimensional calculations.
@@ -604,12 +600,12 @@ def _witten_log(order, families):
     return terms
 
 
-def witten_expand(spec_id, inputs, order, ring=None):
-    """q-expansion of a standard twist bundle as exponent -> VirtualBundle.
+def witten_character(spec_id, inputs, order, ring=None):
+    """q-expansion of a standard twist bundle as a QExpSeries of characters.
 
     ``inputs`` supplies the ingredient bundles ([tangent] or
-    [tangent, twist]); exponents are Fractions (whole for every id except
-    Theta2/Theta3, whose support is half-integral).
+    [tangent, twist]); the support is whole for every id except
+    Theta2/Theta3, whose support is half-integral.
     """
     if spec_id not in WITTEN_SPEC_IDS:
         raise SpecError("unknown twist-bundle id %r" % (spec_id,))
@@ -653,20 +649,14 @@ def witten_expand(spec_id, inputs, order, ring=None):
         families.append(("ext", -1, half, twist_psi))
         families.append(("ext", +1, half, twist_psi))
 
-    log_terms = _witten_log(order, families)
-    log_series = CohomQSeries(ring, order, log_terms)
-    expanded = qs_exp(log_series)
-    return {
-        Fraction(k, GRID): VirtualBundle(coeff) for k, coeff in sorted(expanded.terms.items())
-    }
+    return qs_exp(QExpSeries(ring, order, _witten_log(order, families)))
 
 
-def witten_character(spec_id, inputs, order, ring=None):
-    """Same expansion as `witten_expand` but as a CohomQSeries of characters."""
-    bundles = witten_expand(spec_id, inputs, order, ring=ring)
-    ring = ring or inputs[0].ring
-    terms = {int(exp * GRID): vb.ch for exp, vb in bundles.items()}
-    return CohomQSeries(ring, int(order), terms)
+def witten_expand(spec_id, inputs, order, ring=None):
+    """Same expansion as `witten_character` as exponent -> VirtualBundle,
+    with Fraction exponents."""
+    series = witten_character(spec_id, inputs, order, ring=ring)
+    return {Fraction(k, GRID): VirtualBundle(ch) for k, ch in sorted(series.terms.items())}
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,12 @@ class UsageError(Exception):
 
 
 def _cmd_verify(args, config):
+    if config.cap < 12:
+        raise UsageError("--cap must be at least 12 to hold the degree-12 parts, got %d"
+                         % config.cap)
+    if config.order < 1:
+        raise UsageError("--order must be at least 1 for the q^1/q^0 ratios, got %d"
+                         % config.order)
     ids = args.id or ["all"]
     if "all" in ids:
         ids = list(REGISTRY_IDS)
@@ -117,6 +123,8 @@ def _series_lines(series):
 
 
 def _cmd_expand(args, config):
+    if config.order < 0:
+        raise UsageError("--order must be at least 0, got %d" % config.order)
     name = args.class_name
     if name in ("Ahat", "Lhat"):
         poly = multiplicative_class(name, 12, default_ring(config.cap))
@@ -184,6 +192,9 @@ def _cmd_lattice(args, config):
 
 def _cmd_e8(args, config):
     order = config.order
+    if not 0 <= order <= 12:
+        raise UsageError("--order must be between 0 and 12 for the lattice count, got %d"
+                         % order)
     lattice_side = e8_lattice_theta(order)
     sum_side = theta_eighth_sum(order)
     e4 = eisenstein(4, order)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 #: Denominator of the exponent grid.  Every exponent is k/GRID with k an
 #: integer, which accommodates q**(1/24), q**(1/8) and q**(1/2) exactly.
 GRID = 24
@@ -32,80 +30,6 @@ class NotInvertible(ArithmeticError):
 
 class NotExponentiable(ArithmeticError):
     """The q^0 coefficient violates an exp/log precondition."""
-
-
-class ZMod:
-    """A residue in Z/m, normalized to ``0 <= value < modulus``."""
-
-    __slots__ = ("modulus", "value")
-
-    def __init__(self, modulus, value=0):
-        modulus = int(modulus)
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        self.modulus = modulus
-        self.value = int(value) % modulus
-
-    def _coerce(self, other):
-        if isinstance(other, ZMod):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli %d and %d" % (self.modulus, other.modulus))
-            return other
-        if isinstance(other, int):
-            return ZMod(self.modulus, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ZMod(self.modulus, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ZMod(self.modulus, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ZMod(self.modulus, other.value - self.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ZMod(self.modulus, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ZMod(self.modulus, -self.value)
-
-    def __pow__(self, exponent):
-        exponent = int(exponent)
-        if exponent < 0:
-            raise ValueError("negative powers are not defined in Z/m")
-        return ZMod(self.modulus, pow(self.value, exponent, self.modulus))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (
-            isinstance(other, ZMod)
-            and other.modulus == self.modulus
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.value))
-
-    def __repr__(self):
-        return "ZMod(%d, %d)" % (self.modulus, self.value)
 
 
 class RatRing:

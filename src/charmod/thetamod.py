@@ -10,9 +10,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .exactmath import GRID, RAT_RING, QExpSeries, qs_exp, qs_inv, qs_log, qs_mul
-from .charring import ArgumentError, CohomQSeries, PolyRing, _exp_poly
+from .exactmath import GRID, RAT_RING, QExpSeries, qs_exp, qs_inv, qs_mul
+from .charring import ArgumentError, _accumulate
 
 
 class InternalCancellationError(ArithmeticError):
@@ -39,8 +40,18 @@ class NotProportional(ArithmeticError):
 # ----------------------------------------------------------------------
 
 
-def _sigma(power, n):
-    return sum(d ** power for d in range(1, n + 1) if n % d == 0)
+def _sigma(power, n, alternating=False, odd_cofactor=False):
+    """Sum of d**power over the divisors d of n.
+
+    ``alternating`` weights each term by (-1)**(d+1); ``odd_cofactor`` keeps
+    only the divisors d with n/d odd.
+    """
+    total = 0
+    for d in range(1, n + 1):
+        if n % d or (odd_cofactor and (n // d) % 2 == 0):
+            continue
+        total += -d ** power if alternating and d % 2 == 0 else d ** power
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +78,7 @@ def phi(order):
 
 def series_in_ring(series, ring):
     """Lift a rational q-series to constant coefficients in a PolyRing."""
-    return CohomQSeries(ring, series.order, {k: ring.constant(c) for k, c in series.terms.items()})
+    return QExpSeries(ring, series.order, {k: ring.constant(c) for k, c in series.terms.items()})
 
 
 # ----------------------------------------------------------------------
@@ -76,9 +87,13 @@ def series_in_ring(series, ring):
 
 THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
 
-#: q^0 logs of the classical prefactors:
-#:   (y/2)/sinh(y/2)  for the odd theta's normalized reciprocal ratio,
-#:   cosh(y/2)        for the first even ratio, nothing for the other two.
+#: The normalized theta ratios whose logs are taken:
+#:   theta:  y theta'(0)/theta(y) = (y/2)/sinh(y/2)
+#:           * prod (1-q^j)^2 / ((1-e^y q^j)(1-e^-y q^j));
+#:   theta1: cosh(y/2) * prod (1+e^y q^j)(1+e^-y q^j) / (1+q^j)^2;
+#:   theta2/theta3 likewise without a prefactor, on exponents j-1/2 and with
+#:   signs -/+.
+#: q^0 logs of the classical prefactors, keyed by the power of y.
 _PREFACTOR_LOG = {
     "theta": {2: Fraction(-1, 24), 4: Fraction(1, 2880), 6: Fraction(-1, 181440)},
     "theta1": {2: Fraction(1, 8), 4: Fraction(-1, 192), 6: Fraction(1, 2880)},
@@ -86,71 +101,18 @@ _PREFACTOR_LOG = {
     "theta3": {},
 }
 
-
-def _y_ring():
-    return PolyRing({"y": 2}, cap=12)
-
-
-def _geometric_inverse(ring, order, base_exponent, unit_coeff):
-    """(1 - unit_coeff * q^(base/GRID))^{-1} as an explicit geometric sum."""
-    terms = {}
-    m = 0
-    power = ring.one()
-    while m * base_exponent <= GRID * order:
-        terms[m * base_exponent] = power
-        power = power * unit_coeff
-        m += 1
-    return CohomQSeries(ring, order, terms)
-
-
-def _ratio_series(kind, order):
-    """The normalized theta ratio as a q-series over the y-ring.
-
-    theta:  y theta'(0)/theta(y), via the reciprocal product
-            (y/2)/sinh(y/2) * prod (1-q^j)^2 / ((1-e^y q^j)(1-e^-y q^j));
-    theta1: cosh(y/2) * prod (1+e^y q^j)(1+e^-y q^j) / (1+q^j)^2;
-    theta2/theta3 likewise with exponents j-1/2 and signs -/+.
-    """
-    ring = _y_ring()
-    y = ring.gen("y")
-    out = CohomQSeries.one(ring, order)
-
-    prefactor_log = ring.zero()
-    for y_power, coeff in _PREFACTOR_LOG[kind].items():
-        prefactor_log = prefactor_log + ring.term(coeff, y=y_power)
-    if not prefactor_log.is_zero():
-        out = out.scale(_exp_poly(prefactor_log))
-
-    if kind in ("theta", "theta1"):
-        bases = [GRID * j for j in range(1, order + 1)]
-    else:
-        bases = []
-        j = 1
-        while 12 * (2 * j - 1) <= GRID * order:
-            bases.append(12 * (2 * j - 1))
-            j += 1
-
-    exp_plus = _exp_poly(y)
-    exp_minus = _exp_poly(-y)
-    for base in bases:
-        if kind == "theta":
-            numer = CohomQSeries(
-                ring, order, {0: ring.one(), base: ring.constant(-2), 2 * base: ring.one()}
-            )
-            inv_plus = _geometric_inverse(ring, order, base, exp_plus)
-            inv_minus = _geometric_inverse(ring, order, base, exp_minus)
-            out = qs_mul(qs_mul(out, numer), qs_mul(inv_plus, inv_minus))
-        elif kind == "theta2":
-            factor_plus = CohomQSeries(ring, order, {0: ring.one(), base: -exp_plus})
-            factor_minus = CohomQSeries(ring, order, {0: ring.one(), base: -exp_minus})
-            inv = _geometric_inverse(ring, order, base, ring.one())
-            out = qs_mul(qs_mul(out, factor_plus), qs_mul(factor_minus, qs_mul(inv, inv)))
-        else:  # theta1 on whole powers, theta3 on half powers
-            factor_plus = CohomQSeries(ring, order, {0: ring.one(), base: exp_plus})
-            factor_minus = CohomQSeries(ring, order, {0: ring.one(), base: exp_minus})
-            inv = _geometric_inverse(ring, order, base, -ring.one())
-            out = qs_mul(qs_mul(out, factor_plus), qs_mul(factor_minus, qs_mul(inv, inv)))
-    return out
+#: Lambert-series form of each log-ratio beyond q^0: (sign, alternating,
+#: half_steps).  A factor pair over t = q^j or q^(j-1/2) contributes
+#: sign * sum_m (+-t)^m/m (e^{my} + e^{-my} - 2), so the y^{2k} coefficient
+#: at q^(n/s) is sign * 2/(2k)! * sum m^{2k-1} over the divisors m of n,
+#: weighted by (-1)^{m+1} when alternating; s = 2 on half steps, where only
+#: divisors with n/m odd occur.
+_LAMBERT = {
+    "theta": (1, False, False),
+    "theta1": (1, True, False),
+    "theta2": (-1, False, True),
+    "theta3": (1, True, True),
+}
 
 
 @lru_cache(maxsize=None)
@@ -168,22 +130,15 @@ def theta_log_ratio(kind, order):
         )
     if kind not in THETA_KINDS:
         raise ArgumentError("unknown theta kind %r" % (kind,))
-    log_series = qs_log(_ratio_series(kind, order))
+    sign, alternating, half_steps = _LAMBERT[kind]
+    step = GRID // 2 if half_steps else GRID
     out = []
     for k in (1, 2, 3):
-        terms = {}
-        for grid_key, poly in log_series.terms.items():
-            coeff = poly.monomial_coefficient(y=2 * k)
-            if coeff != 0:
-                terms[grid_key] = coeff
+        scale = Fraction(2 * sign, factorial(2 * k))
+        terms = {0: _PREFACTOR_LOG[kind].get(2 * k, Fraction(0))}
+        for n in range(1, GRID * order // step + 1):
+            terms[step * n] = scale * _sigma(2 * k - 1, n, alternating, half_steps)
         out.append(QExpSeries(RAT_RING, order, terms))
-    # sanity: nothing survives in odd powers of y
-    for grid_key, poly in log_series.terms.items():
-        for exps in poly.coeffs:
-            if exps[0] % 2 == 1:
-                raise InternalCancellationError(
-                    "odd y-power y^%d at q-grid %d" % (exps[0], grid_key)
-                )
     return tuple(out)
 
 
@@ -249,7 +204,7 @@ def e8_character(g, order):
             raise ArgumentError("g-class of degree %d is not homogeneous" % degree)
     order = int(order)
 
-    acc = CohomQSeries.zero(ring, order)
+    acc = QExpSeries.zero(ring, order)
     for kind in ("theta1", "theta2", "theta3"):
         c_series = theta_log_ratio(kind, order)
         log_terms = {}
@@ -257,12 +212,8 @@ def e8_character(g, order):
             if g_k.is_zero():
                 continue
             for grid_key, coeff in c_k.terms.items():
-                piece = g_k * coeff
-                if grid_key in log_terms:
-                    log_terms[grid_key] = log_terms[grid_key] + piece
-                else:
-                    log_terms[grid_key] = piece
-        exponential = qs_exp(CohomQSeries(ring, order, log_terms))
+                _accumulate(log_terms, grid_key, g_k * coeff)
+        exponential = qs_exp(QExpSeries(ring, order, log_terms))
         theta8 = series_in_ring(theta_zero_power8(kind, order), ring)
         acc = acc + qs_mul(theta8, exponential)
     acc = acc.scale(Fraction(1, 2))

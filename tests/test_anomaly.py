@@ -25,7 +25,6 @@ from charmod.anomaly import (
     restrict_to_u,
     run_registry,
     theorem_sides,
-    thread_count,
     verify_differ,
     verify_identity,
 )
@@ -57,15 +56,6 @@ def test_registry_rejects_unknown_id():
         run_registry(["wfh_main", "nope"])
     with pytest.raises(ValueError):
         verify_identity("nope")
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("CHARMOD_THREADS", "1")
-    assert thread_count(8) == 1
-    monkeypatch.setenv("CHARMOD_THREADS", "garbage")
-    assert 1 <= thread_count(4) <= 4
-    monkeypatch.delenv("CHARMOD_THREADS")
-    assert thread_count(1) == 1
 
 
 def test_report_round_trip():

@@ -70,6 +70,22 @@ def test_verify_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())[0]["id"] == "bundle_xi_plus"
 
 
+def test_verify_rejects_cap_below_12(capsys):
+    # a cap of 8 drops every degree-12 part, so both sides would be 0
+    code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--cap", "8")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--cap must be at least 12" in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_verify_rejects_order_below_1(capsys, order):
+    code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--order", order)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--order must be at least 1" in err
+
+
 # ----------------------------------------------------------------------
 # expand
 # ----------------------------------------------------------------------
@@ -92,6 +108,13 @@ def test_expand_unknown_class(capsys):
         main(["expand", "--class", "nope"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_expand_rejects_negative_order(capsys):
+    code, out, err = run_cli(capsys, "expand", "--class", "Qc", "--order", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--order must be at least 0" in err
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +184,14 @@ def test_e8_comparison(capsys):
     assert "[1, 240, 2160, 6720]" in out
     assert "[1, 248, 4124, 34752]" in out
     assert "equal: true" in out
+
+
+@pytest.mark.parametrize("order", ["13", "-1"])
+def test_e8_rejects_order_outside_0_to_12(capsys, order):
+    code, out, err = run_cli(capsys, "e8", "--order", order)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--order must be between 0 and 12" in err
 
 
 # ----------------------------------------------------------------------

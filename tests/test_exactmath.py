@@ -1,5 +1,5 @@
-"""Unit tests for the exact arithmetic layer: residue classes and q-series
-on the 1/24 exponent grid."""
+"""Unit tests for the exact arithmetic layer: q-series on the 1/24 exponent
+grid."""
 
 from fractions import Fraction
 
@@ -14,7 +14,6 @@ from charmod.exactmath import (
     NotInvertible,
     QExpSeries,
     RAT_RING,
-    ZMod,
     qs_exp,
     qs_inv,
     qs_log,
@@ -26,37 +25,6 @@ def series(coeffs, order=None):
     if order is None:
         order = len(coeffs) - 1
     return QExpSeries.from_q_coeffs(RAT_RING, order, [Fraction(c) for c in coeffs])
-
-
-# ----------------------------------------------------------------------
-# residue classes
-# ----------------------------------------------------------------------
-
-
-def test_zmod_basic_arithmetic():
-    a = ZMod(24, 13)
-    b = ZMod(24, 20)
-    assert a + b == 9
-    assert a - b == 17
-    assert a * b == 20  # 260 = 10*24 + 20
-    assert -a == 11
-    assert a + 11 == 0
-
-
-def test_zmod_fermat_little():
-    # x^p = x mod p for a prime modulus
-    for x in range(23):
-        assert ZMod(23, x) ** 23 == x
-
-
-def test_zmod_cube_linearity_mod_3():
-    for x in range(-10, 11):
-        assert ZMod(3, x) ** 3 == ZMod(3, x)
-
-
-def test_zmod_rejects_mixed_moduli():
-    with pytest.raises(ValueError):
-        ZMod(24, 1) + ZMod(12, 1)
 
 
 # ----------------------------------------------------------------------

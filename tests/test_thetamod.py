@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from charmod.charring import ArgumentError, PolyRing, default_ring
-from charmod.exactmath import RAT_RING, QExpSeries, qs_inv, qs_mul
+from charmod.charring import ArgumentError, PolyRing, _exp_poly, default_ring
+from charmod.exactmath import GRID, RAT_RING, QExpSeries, qs_inv, qs_log, qs_mul
 from charmod.thetamod import (
+    THETA_KINDS,
     NotProportional,
     PrecisionError,
     e8_character,
@@ -78,6 +79,92 @@ def test_theta_ratio_against_lambert_series():
         assert c3.coefficient(n) == (
             Fraction(-1, 181440) if n == 0 else Fraction(sigma(5, n), 360)
         )
+
+
+# The product route: multiply out each normalized theta ratio over a ring in
+# y, then take the series logarithm.  Independent of the divisor sums that
+# theta_log_ratio uses.
+
+#: log of the q^0 prefactor: (y/2)/sinh(y/2) for theta, cosh(y/2) for theta1
+PRODUCT_PREFACTOR_LOG = {
+    "theta": {2: Fraction(-1, 24), 4: Fraction(1, 2880), 6: Fraction(-1, 181440)},
+    "theta1": {2: Fraction(1, 8), 4: Fraction(-1, 192), 6: Fraction(1, 2880)},
+}
+
+
+def geometric_inverse(ring, order, base, unit):
+    """(1 - unit * q^(base/GRID))^{-1} as an explicit geometric sum."""
+    terms = {}
+    power = ring.one()
+    m = 0
+    while m * base <= GRID * order:
+        terms[m * base] = power
+        power = power * unit
+        m += 1
+    return QExpSeries(ring, order, terms)
+
+
+def product_ratio(kind, order):
+    """theta:  (y/2)/sinh(y/2) prod (1-q^j)^2 / ((1-e^y q^j)(1-e^-y q^j));
+    theta1: cosh(y/2) prod (1+e^y q^j)(1+e^-y q^j) / (1+q^j)^2;
+    theta2/theta3 likewise on exponents j-1/2 with signs -/+."""
+    ring = PolyRing({"y": 2}, cap=12)
+    y = ring.gen("y")
+    out = QExpSeries.one(ring, order)
+    prefactor_log = ring.zero()
+    for y_power, coeff in PRODUCT_PREFACTOR_LOG.get(kind, {}).items():
+        prefactor_log = prefactor_log + ring.term(coeff, y=y_power)
+    out = out.scale(_exp_poly(prefactor_log))
+
+    if kind in ("theta", "theta1"):
+        bases = [GRID * j for j in range(1, order + 1)]
+    else:
+        bases = [12 * (2 * j - 1) for j in range(1, order + 1)]
+    sign = -1 if kind in ("theta", "theta2") else 1
+    exp_plus, exp_minus = _exp_poly(y), _exp_poly(-y)
+    for base in bases:
+        if kind == "theta":
+            numer = QExpSeries(ring, order, {0: ring.one(), base: ring.constant(-2),
+                                             2 * base: ring.one()})
+            out = qs_mul(qs_mul(out, numer), qs_mul(
+                geometric_inverse(ring, order, base, exp_plus),
+                geometric_inverse(ring, order, base, exp_minus)))
+        else:
+            plus = QExpSeries(ring, order, {0: ring.one(), base: exp_plus * sign})
+            minus = QExpSeries(ring, order, {0: ring.one(), base: exp_minus * sign})
+            inv = geometric_inverse(ring, order, base, ring.constant(-sign))
+            out = qs_mul(qs_mul(out, plus), qs_mul(minus, qs_mul(inv, inv)))
+    return out
+
+
+def product_log_ratio(kind, order):
+    log_series = qs_log(product_ratio(kind, order))
+    for poly in log_series.terms.values():
+        assert all(exps[0] % 2 == 0 for exps in poly.coeffs), "odd power of y"
+    return tuple(
+        QExpSeries(RAT_RING, order, {
+            key: poly.monomial_coefficient(y=2 * k) for key, poly in log_series.terms.items()
+        })
+        for k in (1, 2, 3)
+    )
+
+
+@pytest.mark.parametrize("kind", THETA_KINDS)
+def test_theta_ratio_matches_product_route(kind):
+    for order in list(range(9)) + [12]:
+        assert theta_log_ratio(kind, order) == product_log_ratio(kind, order), (kind, order)
+
+
+@pytest.mark.parametrize("kind", THETA_KINDS)
+def test_product_route_sees_a_shifted_coefficient(kind):
+    oracle = product_log_ratio(kind, 4)
+    c1, c2, c3 = theta_log_ratio(kind, 4)
+    key = 36 if kind in ("theta2", "theta3") else 48  # q^(3/2) or q^2
+    terms = dict(c2.terms)
+    terms[key] = terms.get(key, Fraction(0)) + 1
+    shifted = QExpSeries(RAT_RING, 4, terms)
+    assert (c1, c2, c3) == oracle
+    assert (c1, shifted, c3) != oracle
 
 
 def test_theta_ratio_first_is_weight_two():
