@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .exactmath import GRID, QExpSeries, qs_exp, qs_mul
 from .charring import (
+    ArgumentError,
     PolyRing,
     _accumulate,
     _exp_poly,
@@ -744,6 +745,8 @@ def _check_fact(reg_id, order, cap):
     s1 = s12.coefficient(1)
     if s1 != s0 * ratio:
         return "q^1/q^0 ratio is not %d" % ratio, [], [], {}
+    if m == 0:
+        return "degree-12 part vanishes (multiplier 0)", [], [], {"multiplier": "0"}
     return "", [], [], {"multiplier": str(m)}
 
 
@@ -857,9 +860,18 @@ def _check_differ(reg_id, order, cap):
 
 
 def verify_identity(reg_id, order=6, cap=12):
-    """Run one registry check and return its VerificationReport."""
+    """Run one registry check and return its VerificationReport.
+
+    Raises ArgumentError for ``cap < 12``, where every degree-12 part is 0
+    and the checks would pass on 0 = 0, and for ``order < 1``, which leaves
+    no q^1 coefficient for the ratio checks.
+    """
     if reg_id not in REGISTRY_IDS:
         raise ValueError("unknown registry id %r" % (reg_id,))
+    if cap < 12:
+        raise ArgumentError("cap must be at least 12 to hold the degree-12 parts, got %d" % cap)
+    if order < 1:
+        raise ArgumentError("order must be at least 1 for the q^1/q^0 ratios, got %d" % order)
     started = time.perf_counter()
     if reg_id in THEOREM_IDS:
         witness, findings, assumptions, data = _check_theorem(reg_id, order, cap)

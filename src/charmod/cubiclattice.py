@@ -52,14 +52,25 @@ class TrilinearLattice:
                 raise ValueError("tensor is not symmetric under index permutations")
         self.tensor = t
         self.rank = t.shape[0]
+        # Nonzero entries as Python ints, so T is evaluated exactly; cube()
+        # uses only i <= j <= k, weighted by the count of distinct index
+        # permutations (1, 3 or 6), which is 10 terms instead of 27 at rank 3.
+        self._entries = [(i, j, k, int(t[i, j, k])) for i, j, k in zip(*np.nonzero(t))]
+        self._cube_entries = [
+            (i, j, k, (1, 3, 6)[len({i, j, k}) - 1] * v)
+            for i, j, k, v in self._entries
+            if i <= j <= k
+        ]
 
     def trilinear(self, x, y, z):
-        """T(x, y, z) as a Python integer."""
-        x, y, z = (np.asarray(v, dtype=np.int64) for v in (x, y, z))
-        return int(np.einsum("ijk,i,j,k->", self.tensor, x, y, z))
+        """T(x, y, z) as an exact Python integer (no int64 wrap)."""
+        x, y, z = (np.asarray(v).tolist() for v in (x, y, z))
+        return sum([t * x[i] * y[j] * z[k] for i, j, k, t in self._entries])
 
     def cube(self, x):
-        return self.trilinear(x, x, x)
+        """T(x, x, x) as an exact Python integer."""
+        x = np.asarray(x).tolist()
+        return sum([t * x[i] * x[j] * x[k] for i, j, k, t in self._cube_entries])
 
     def _vector(self, v, label):
         v = np.asarray(v, dtype=np.int64)

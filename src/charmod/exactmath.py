@@ -162,8 +162,9 @@ class QExpSeries:
         self._require_same_ring(other)
         order = min(self.order, other.order)
         terms = dict(self.terms)
+        zero = self.ring.zero()
         for k, coeff in other.terms.items():
-            terms[k] = terms.get(k, self.ring.zero()) + coeff
+            terms[k] = terms.get(k, zero) + coeff
         return QExpSeries(self.ring, order, terms)
 
     def __sub__(self, other):
@@ -180,8 +181,13 @@ class QExpSeries:
         if exponent < 0:
             raise ValueError("negative series powers go through qs_inv")
         result = QExpSeries.one(self.ring, self.order)
-        for _ in range(exponent):
-            result = qs_mul(result, self)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = qs_mul(result, base)
+            exponent >>= 1
+            if exponent:
+                base = qs_mul(base, base)
         return result
 
     def scale(self, coeff):
@@ -313,7 +319,19 @@ def _log_one_plus_nilpotent(ring, element):
 
 
 def qs_exp(a):
-    """Exponential of a series whose q^0 coefficient is zero or nilpotent."""
+    """Exponential of a series whose q^0 coefficient is zero or nilpotent.
+
+    Writes a = s0 + t with t supported on positive grid exponents.  exp(t)
+    comes from the derivative recurrence of Brent & Kung ("Fast algorithms
+    for manipulating formal power series", JACM 1978): b = exp(t) satisfies
+    q b' = (q t') b, so b_0 = 1 and
+
+        k b_k = sum_{j in supp t, j <= k} (j t_j) b_{k-j}
+
+    on the 1/24 grid (the 1/24 of each exponent cancels), which costs
+    O(N^2) coefficient products.  exp(s0) is a finite sum because s0 is
+    nilpotent, and multiplies the whole series.
+    """
     ring = a.ring
     s0 = a.terms.get(0, ring.zero())
     if _coeff_constant_term(s0) != 0:
@@ -323,17 +341,23 @@ def qs_exp(a):
     else:
         head = _exp_nilpotent(ring, s0)
 
-    tail = QExpSeries(ring, a.order, {k: c for k, c in a.terms.items() if k != 0})
-    acc = QExpSeries.one(ring, a.order)
-    power = QExpSeries.one(ring, a.order)
-    j = 1
-    while True:
-        power = qs_mul(power, tail).scale(Fraction(1, j))
-        if power.is_zero():
-            break
-        acc = acc + power
-        j += 1
-    return acc.scale(head)
+    zero = ring.zero()
+    scaled = [(j, c * j) for j, c in sorted(a.terms.items()) if j != 0]
+    out = {0: ring.one()}
+    for k in range(1, GRID * a.order + 1):
+        acc = None
+        for j, jc in scaled:
+            if j > k:
+                break
+            b = out.get(k - j)
+            if b is not None:
+                piece = jc * b
+                acc = piece if acc is None else acc + piece
+        if acc is not None:
+            acc = acc * Fraction(1, k)
+            if acc != zero:
+                out[k] = acc
+    return QExpSeries(ring, a.order, out).scale(head)
 
 
 def qs_log(a):

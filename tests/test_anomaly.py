@@ -27,8 +27,9 @@ from charmod.anomaly import (
     theorem_sides,
     verify_differ,
     verify_identity,
+    _check_fact,
 )
-from charmod.charring import PolyRing, default_ring, multiplicative_class
+from charmod.charring import ArgumentError, PolyRing, default_ring, multiplicative_class
 from charmod.exactmath import qs_mul
 
 
@@ -56,6 +57,25 @@ def test_registry_rejects_unknown_id():
         run_registry(["wfh_main", "nope"])
     with pytest.raises(ValueError):
         verify_identity("nope")
+
+
+def test_registry_rejects_settings_that_make_checks_vacuous():
+    # below cap 12 every degree-12 part is 0; below order 1 there is no q^1
+    with pytest.raises(ArgumentError):
+        run_registry(order=3, cap=8)
+    with pytest.raises(ArgumentError):
+        verify_identity("fact_spinc_q", order=3, cap=11)
+    with pytest.raises(ArgumentError):
+        verify_identity("wfh_main", order=0)
+
+
+def test_fact_check_fails_on_zero_multiplier():
+    witness, _, _, data = _check_fact("fact_spinc_q", 3, 8)
+    assert "multiplier 0" in witness
+    assert data["multiplier"] == "0"
+    witness, _, _, data = _check_fact("fact_spinc_q", 3, 12)
+    assert witness == ""
+    assert data["multiplier"] != "0"
 
 
 def test_report_round_trip():

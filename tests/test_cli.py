@@ -2,6 +2,7 @@
 ``main(argv)`` so exit codes and output routing are covered directly."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,20 @@ def test_verify_json_round_trips(capsys):
     reports = [VerificationReport.from_dict(entry) for entry in payload]
     assert [r.id for r in reports] == ["o1", "o2"]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("order", [6, 12])
+def test_verify_all_matches_golden_output(capsys, order):
+    # the full registry JSON, byte for byte once the timings are removed
+    code, out, _ = run_cli(
+        capsys, "verify", "--id", "all", "--order", str(order), "--format", "json"
+    )
+    assert code == EXIT_PASS
+    reports = json.loads(out)
+    for report in reports:
+        del report["millis"]
+    golden = Path(__file__).parent / "golden" / ("registry_o%d.json" % order)
+    assert json.dumps(reports, indent=2) + "\n" == golden.read_text()
 
 
 def test_verify_unknown_id(capsys):

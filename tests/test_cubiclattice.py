@@ -57,6 +57,24 @@ def test_trilinear_values():
     assert lat2.trilinear([1, 0], [1, 0], [0, 1]) == 1
 
 
+def test_trilinear_is_exact_past_int64():
+    lat = TrilinearLattice([[[2**40]]])
+    assert lat.cube([2**21]) == 2**103
+    assert lat.trilinear([2**21], [3], [-(2**30)]) == -3 * 2**91
+
+
+def test_trilinear_matches_einsum_on_random_rank3():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        raw = rng.integers(-3, 4, size=(3, 3, 3))
+        t = sum(np.transpose(raw, axes) for axes in
+                ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
+        lat = TrilinearLattice(t)
+        x, y, z = rng.integers(-50, 51, size=(3, 3))
+        assert lat.trilinear(x, y, z) == int(np.einsum("ijk,i,j,k->", t, x, y, z))
+        assert lat.cube(x) == int(np.einsum("ijk,i,j,k->", t, x, x, x))
+
+
 def test_characteristic_rank1():
     lat = rank1_lattice()
     assert is_characteristic(lat, [0])
