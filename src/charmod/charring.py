@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 
 from .exactmath import GRID, NotInvertible, QExpSeries, qs_exp
 
@@ -53,6 +53,11 @@ class PolyRing:
     insertion order fixes the exponent-tuple layout and the display order.
     Monomials of total degree above ``cap`` are discarded on construction,
     so every element is automatically truncated.
+
+    ``dot(pairs)`` is the ring's one multiply loop: it returns the sum of
+    ``a * b`` over a list of ``(a, b)`` pairs of elements as one element,
+    and ``zero()`` for the empty list.  Polynomial products and the series
+    convolutions of `charmod.exactmath` all go through it.
     """
 
     __slots__ = ("degrees", "names", "cap", "key", "_index", "_degree_cache")
@@ -73,6 +78,37 @@ class PolyRing:
             degree = sum(e * self.degrees[n] for n, e in zip(self.names, exps))
             self._degree_cache[exps] = degree
         return degree
+
+    def dot(self, pairs):
+        """Sum of ``a * b`` over the ``(a, b)`` pairs, truncated at the cap.
+
+        The numerators of every pair are summed as plain ints over one
+        common denominator, the lcm of the pairs' denominator products, so
+        the result builds one Fraction per output monomial and no
+        intermediate polynomial.  Each operand's terms come sorted by
+        degree, so the inner loop stops at the first term past the cap.
+        """
+        cap = self.cap
+        den = 1
+        parts = []
+        for a, b in pairs:
+            den_a, left = a._numerators()
+            den_b, right = b._numerators()
+            pair_den = den_a * den_b
+            den = lcm(den, pair_den)
+            parts.append((pair_den, left, right))
+        sums = {}
+        for pair_den, left, right in parts:
+            scale = den // pair_den
+            for e1, d1, n1 in left:
+                room = cap - d1
+                n1 *= scale
+                for e2, d2, n2 in right:
+                    if d2 > room:
+                        break
+                    e = tuple(map(add, e1, e2))
+                    sums[e] = sums.get(e, 0) + n1 * n2
+        return GradedPoly(self, {e: Fraction(n, den) for e, n in sums.items()})
 
     def zero(self):
         return GradedPoly(self, {})
@@ -112,7 +148,7 @@ class PolyRing:
 class GradedPoly:
     """Element of a PolyRing: exponent-tuple -> Fraction, zeros dropped."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "_terms")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
@@ -124,6 +160,28 @@ class GradedPoly:
                 continue
             clean[exps] = coeff
         self.coeffs = clean
+        self._terms = None
+
+    def _numerators(self):
+        """``(den, [(exps, degree, numerator)])`` with every coefficient
+        equal to numerator/den, sorted by degree, for `PolyRing.dot`.
+
+        Filled on first use and kept: ``coeffs`` is never mutated after
+        ``__init__``, so the cached terms cannot go stale.  reduce, not
+        lcm(*generator): that argument tuple grows by realloc and then parks
+        on the free list of its final size, about 1.5 MB of peak RSS at
+        registry order 24.
+        """
+        if self._terms is None:
+            degree = self.ring.monomial_degree
+            den = reduce(lcm, (c.denominator for c in self.coeffs.values()), 1)
+            terms = [
+                (e, degree(e), c.numerator * (den // c.denominator))
+                for e, c in self.coeffs.items()
+            ]
+            terms.sort(key=itemgetter(1))
+            self._terms = (den, terms)
+        return self._terms
 
     # -- ring structure -------------------------------------------------
 
@@ -159,30 +217,7 @@ class GradedPoly:
                 return self.ring.zero()
             return GradedPoly(self.ring, {e: c * other for e, c in self.coeffs.items()})
         self._require_same_ring(other)
-        # Integer numerators over each operand's common denominator: one
-        # Fraction per output monomial instead of one multiply and one add
-        # (each with its gcd) per term pair.  reduce, not lcm(*generator):
-        # that argument tuple grows by realloc and then parks on the free
-        # list of its final size, about 1.5 MB of peak RSS at registry order 24.
-        cap = self.ring.cap
-        degree = self.ring.monomial_degree
-        den1 = reduce(lcm, (c.denominator for c in self.coeffs.values()), 1)
-        den2 = reduce(lcm, (c.denominator for c in other.coeffs.values()), 1)
-        right = [
-            (e2, degree(e2), c2.numerator * (den2 // c2.denominator))
-            for e2, c2 in other.coeffs.items()
-        ]
-        sums = {}
-        for e1, c1 in self.coeffs.items():
-            room = cap - degree(e1)
-            n1 = c1.numerator * (den1 // c1.denominator)
-            for e2, d2, n2 in right:
-                if d2 > room:
-                    continue
-                e = tuple(map(add, e1, e2))
-                sums[e] = sums.get(e, 0) + n1 * n2
-        den = den1 * den2
-        return GradedPoly(self.ring, {e: Fraction(n, den) for e, n in sums.items()})
+        return self.ring.dot(((self, other),))
 
     __rmul__ = __mul__
 

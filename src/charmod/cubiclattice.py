@@ -13,6 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -125,9 +126,8 @@ def _grid_points(rank, modulus):
     return out.astype(np.int64)
 
 
-def _defects(lattice, a, bhat, points, modulus):
+def _defects(t, a, bhat, points, modulus):
     """(4x^3 + 6ax^2 + 3a^2x - bhat.x) mod m at each sample point."""
-    t = lattice.tensor
     cubic = np.einsum("ijk,mi,mj,mk->m", t, points, points, points)
     quad = np.einsum("ijk,i,mj,mk->m", t, a, points, points)
     lin = np.einsum("ijk,i,j,mk->m", t, a, a, points)
@@ -154,7 +154,10 @@ def solve_bhat(lattice, a, modulus=24, samples=1000, seed=None):
             stacklevel=2,
         )
 
-    t = lattice.tensor
+    # The defect mod m depends only on the residues of T and a, and with
+    # every entry below m the int64 einsums here and in _defects cannot wrap.
+    t = lattice.tensor % modulus
+    a = a % modulus
     bhat = (
         4 * np.einsum("iii->i", t)
         + 6 * np.diagonal(np.einsum("ijk,i->jk", t, a))
@@ -169,7 +172,7 @@ def solve_bhat(lattice, a, modulus=24, samples=1000, seed=None):
         random_part = rng.integers(0, modulus, size=(count, lattice.rank))
         points = np.vstack([np.eye(lattice.rank, dtype=np.int64), random_part])
 
-    defects = _defects(lattice, a, bhat, points, modulus)
+    defects = _defects(t, a, bhat, points, modulus)
     bad = np.nonzero(defects)[0]
     if bad.size:
         i = int(bad[0])
@@ -178,17 +181,18 @@ def solve_bhat(lattice, a, modulus=24, samples=1000, seed=None):
 
 
 def _poly_f(lattice, a, b, x):
-    """f_{a,b}(x) = (a+x)^3 - b(a+x), products through T."""
-    y = a + x
-    return lattice.cube(y) - int(y @ b)
+    """f_{a,b}(x) = (a+x)^3 - b(a+x), products through T; a, b, x are lists
+    of Python ints, so nothing wraps."""
+    y = [ai + xi for ai, xi in zip(a, x)]
+    return lattice.cube(y) - sum(map(mul, y, b))
 
 
-def _poly_f_tilde(lattice, a, b, x):
-    """4(a+x)^3 - 6a(a+x)^2 - (b - 3a^2)(a+x), products through T."""
-    y = a + x
+def _poly_f_tilde(lattice, a, shifted_b, x):
+    """4(a+x)^3 - 6a(a+x)^2 - (b - 3a^2)(a+x), products through T, with
+    ``shifted_b`` = b - 3a^2 given as a list of Python ints."""
+    y = [ai + xi for ai, xi in zip(a, x)]
     quad = lattice.trilinear(a, y, y)
-    shifted_b = b - 3 * np.einsum("ijk,i,j->k", lattice.tensor, a, a)
-    return 4 * lattice.cube(y) - 6 * quad - int(y @ shifted_b)
+    return 4 * lattice.cube(y) - 6 * quad - sum(map(mul, y, shifted_b))
 
 
 def check_cubic_relations(lattice, spec, samples=1000, seed=None):
@@ -230,18 +234,23 @@ def check_cubic_relations(lattice, spec, samples=1000, seed=None):
         else:
             report[key].update(passed=None, witness=None)
 
-    f0 = _poly_f(lattice, a, b, np.zeros(lattice.rank, dtype=np.int64))
-    ft0 = _poly_f_tilde(lattice, a, b, np.zeros(lattice.rank, dtype=np.int64))
-    for x in xs:
-        f2x = _poly_f(lattice, a, b, 2 * x)
-        ft = _poly_f_tilde(lattice, a, b, x)
+    # f and ftilde in Python ints: a and b may sit near the int64 limit.
+    a, b = a.tolist(), b.tolist()
+    units = np.eye(lattice.rank, dtype=np.int64)
+    shifted_b = [bk - 3 * lattice.trilinear(a, a, unit) for bk, unit in zip(b, units)]
+    zero = [0] * lattice.rank
+    f0 = _poly_f(lattice, a, b, zero)
+    ft0 = _poly_f_tilde(lattice, a, shifted_b, zero)
+    for x in xs.tolist():
+        f2x = _poly_f(lattice, a, b, [2 * v for v in x])
+        ft = _poly_f_tilde(lattice, a, shifted_b, x)
         if 2 * ft != f2x + f0 and report["half_sum"]["witness"] is None:
-            report["half_sum"] = {"passed": False, "witness": x.tolist()}
+            report["half_sum"] = {"passed": False, "witness": x}
         if report["refine48"]["applicable"]:
             if (f2x - f0) % 48 != 0 and report["refine48"]["witness"] is None:
-                report["refine48"].update(passed=False, witness=x.tolist())
+                report["refine48"].update(passed=False, witness=x)
             if (ft - ft0) % 24 != 0 and report["refine24"]["witness"] is None:
-                report["refine24"].update(passed=False, witness=x.tolist())
+                report["refine24"].update(passed=False, witness=x)
 
     report["passed"] = bool(
         report["half_sum"]["passed"]

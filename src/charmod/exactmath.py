@@ -4,12 +4,15 @@ A series here is a finite sum ``sum_k a_k * q**(k/24)`` with integer grid
 exponents ``0 <= k <= 24*order``, where ``order`` counts whole powers of q.
 Coefficients live in an exact commutative ring: `fractions.Fraction` scalars
 (via `RAT_RING`) or any caller-supplied ring object exposing ``zero()``,
-``one()`` and a hashable ``key``.  No floats ever enter these code paths.
+``one()``, a hashable ``key`` and the sum-of-products kernel ``dot(pairs)``
+(see `qs_mul`).  No floats ever enter these code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 #: Denominator of the exponent grid.  Every exponent is k/GRID with k an
 #: integer, which accommodates q**(1/24), q**(1/8) and q**(1/2) exactly.
@@ -44,6 +47,17 @@ class RatRing:
     @staticmethod
     def one():
         return Fraction(1)
+
+    @staticmethod
+    def dot(pairs):
+        """Sum of ``a * b`` over the ``(a, b)`` pairs of rationals.
+
+        Sums plain-int numerator products over the lcm of the denominator
+        products, so the result is the only Fraction built.
+        """
+        products = [(a.numerator * b.numerator, a.denominator * b.denominator) for a, b in pairs]
+        den = reduce(lcm, (d for _, d in products), 1)
+        return Fraction(sum(n * (den // d) for n, d in products), den)
 
 
 RAT_RING = RatRing()
@@ -243,24 +257,31 @@ class QExpSeries:
 
 
 def qs_mul(a, b):
-    """Cauchy product of two series, truncated to the smaller order."""
+    """Cauchy product of two series, truncated to the smaller order.
+
+    The term pairs are grouped by output exponent and each group is summed
+    by the coefficient ring's kernel: ``ring.dot(pairs)`` returns the sum of
+    ``x * y`` over a list of ``(x, y)`` coefficient pairs as one ring
+    element, and ``ring.zero()`` for an empty list.  `qs_exp` and `qs_inv`
+    use the same kernel, so no product is built as a separate coefficient.
+    """
     a._require_same_ring(b)
     order = min(a.order, b.order)
     limit = GRID * order
-    terms = {}
+    right = sorted(b.terms.items())
+    groups = {}
     for ka, ca in a.terms.items():
-        if ka > limit:
-            continue
-        for kb, cb in b.terms.items():
+        room = limit - ka
+        for kb, cb in right:
+            if kb > room:
+                break
             k = ka + kb
-            if k > limit:
-                continue
-            prod = ca * cb
-            if k in terms:
-                terms[k] = terms[k] + prod
+            if k in groups:
+                groups[k].append((ca, cb))
             else:
-                terms[k] = prod
-    return QExpSeries(a.ring, order, terms)
+                groups[k] = [(ca, cb)]
+    dot = a.ring.dot
+    return QExpSeries(a.ring, order, {k: dot(pairs) for k, pairs in groups.items()})
 
 
 def qs_inv(a):
@@ -275,13 +296,11 @@ def qs_inv(a):
         raise NotInvertible("q^0 coefficient is zero")
     inv0 = _coeff_inverse(a0)
     coeffs = a.as_q_coeffs()
-    zero = a.ring.zero()
+    support = [j for j in range(1, a.order + 1) if GRID * j in a.terms]
+    dot = a.ring.dot
     out = [inv0]
     for n in range(1, a.order + 1):
-        acc = zero
-        for j in range(1, n + 1):
-            if coeffs[j] != zero:
-                acc = acc + coeffs[j] * out[n - j]
+        acc = dot([(coeffs[j], out[n - j]) for j in support if j <= n])
         out.append(-(inv0 * acc))
     return QExpSeries.from_q_coeffs(a.ring, a.order, out)
 
@@ -342,19 +361,19 @@ def qs_exp(a):
         head = _exp_nilpotent(ring, s0)
 
     zero = ring.zero()
+    dot = ring.dot
     scaled = [(j, c * j) for j, c in sorted(a.terms.items()) if j != 0]
     out = {0: ring.one()}
     for k in range(1, GRID * a.order + 1):
-        acc = None
+        pairs = []
         for j, jc in scaled:
             if j > k:
                 break
             b = out.get(k - j)
             if b is not None:
-                piece = jc * b
-                acc = piece if acc is None else acc + piece
-        if acc is not None:
-            acc = acc * Fraction(1, k)
+                pairs.append((jc, b))
+        if pairs:
+            acc = dot(pairs) * Fraction(1, k)
             if acc != zero:
                 out[k] = acc
     return QExpSeries(ring, a.order, out).scale(head)

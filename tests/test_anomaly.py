@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from charmod import anomaly
 from charmod.anomaly import (
     CLASS_KINDS,
+    DEG8_SETTINGS,
     REGISTRY_IDS,
     THEOREM_IDS,
     Mod2Poly,
@@ -30,7 +32,7 @@ from charmod.anomaly import (
     _check_fact,
 )
 from charmod.charring import ArgumentError, PolyRing, default_ring, multiplicative_class
-from charmod.exactmath import qs_mul
+from charmod.exactmath import QExpSeries, qs_mul
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +78,35 @@ def test_fact_check_fails_on_zero_multiplier():
     witness, _, _, data = _check_fact("fact_spinc_q", 3, 12)
     assert witness == ""
     assert data["multiplier"] != "0"
+
+
+SIDES = (
+    [(reg_id, "theorem_sides") for reg_id in THEOREM_IDS]
+    + [(reg_id, "deg8_display_sides") for reg_id in DEG8_SETTINGS]
+    + [(reg_id, "bundle_xi_sides") for reg_id in ("bundle_xi_plus", "bundle_xi_minus")]
+)
+
+
+@pytest.mark.parametrize("reg_id, sides", SIDES)
+def test_check_fails_when_both_sides_are_zero(monkeypatch, reg_id, sides):
+    assert verify_identity(reg_id, order=1).passed
+    zero = default_ring().zero()
+    monkeypatch.setattr(anomaly, sides, lambda reg_id, ring: (zero, zero))
+    report = verify_identity(reg_id, order=1)
+    assert report.status == "fail"
+    assert report.witness == "both sides are 0"
+
+
+def test_sqrt_relation_fails_when_both_sides_are_zero(monkeypatch):
+    assert verify_identity("sqrt_relation", order=1).passed
+    monkeypatch.setattr(
+        anomaly,
+        "build_twisted_class",
+        lambda kind, order, ring: QExpSeries.zero(ring, order),
+    )
+    report = verify_identity("sqrt_relation", order=1)
+    assert report.status == "fail"
+    assert report.witness == "both sides are 0"
 
 
 def test_report_round_trip():

@@ -46,7 +46,7 @@ def test_verify_json_round_trips(capsys):
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("order", [6, 12])
+@pytest.mark.parametrize("order", [6, 12, 24])
 def test_verify_all_matches_golden_output(capsys, order):
     # the full registry JSON, byte for byte once the timings are removed
     code, out, _ = run_cli(
@@ -199,6 +199,12 @@ def test_e8_comparison(capsys):
     assert "[1, 240, 2160, 6720]" in out
     assert "[1, 248, 4124, 34752]" in out
     assert "equal: true" in out
+
+
+def test_e8_matches_golden_output(capsys):
+    code, out, _ = run_cli(capsys, "e8", "--order", "12")
+    assert code == EXIT_PASS
+    assert out == (Path(__file__).parent / "golden" / "e8_o12.txt").read_text()
 
 
 @pytest.mark.parametrize("order", ["13", "-1"])

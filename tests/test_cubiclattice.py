@@ -63,6 +63,28 @@ def test_trilinear_is_exact_past_int64():
     assert lat.trilinear([2**21], [3], [-(2**30)]) == -3 * 2**91
 
 
+def test_solve_bhat_is_exact_past_int64():
+    # 8x^3 = 8x (mod 24) for every x; an int64 einsum wraps on T*x^3
+    assert solve_bhat(TrilinearLattice([[[2**59]]]), [0], 24).tolist() == [8]
+    assert solve_bhat(TrilinearLattice([[[2**59 + 1]]]), [0], 24).tolist() == [12]
+
+
+def test_cubic_relations_are_exact_past_int64():
+    lat = rank1_lattice()
+    # relation (a) is an identity, whatever the size of a and b
+    report = check_cubic_relations(lat, CubicFormSpec(a=(2**40,), b=(2**62,)))
+    assert report["half_sum"] == {"passed": True, "witness": None}
+    assert report["b_congruent_mod24"] is False
+    assert report["passed"]
+    # b = bhat (mod 24): both refinements apply and hold
+    report = check_cubic_relations(
+        lat, CubicFormSpec(a=(2**40,), b=(2**62 - 12,)), samples=200, seed=3
+    )
+    assert report["b_congruent_mod24"] is True
+    assert report["refine48"]["passed"] and report["refine24"]["passed"]
+    assert report["passed"]
+
+
 def test_trilinear_matches_einsum_on_random_rank3():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -1,10 +1,11 @@
 """The exact arithmetic kernels against the plain algorithms they replaced.
 
 Each oracle is the textbook route: exp as the sum of the powers of the tail
-series, a graded-polynomial product as a dict of Fraction products, and a
-series power as repeated multiplication.  Every comparison has a negative
-control: the oracle's result with one coefficient shifted must not compare
-equal to the kernel's.
+series, a graded-polynomial product and a ring's sum of products as a dict
+of Fraction products, a series product and inverse as the per-pair loops
+with one product and one sum per term pair, and a series power as repeated
+multiplication.  Every comparison has a negative control: the oracle's
+result with one coefficient shifted must not compare equal to the kernel's.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmod.charring import GradedPoly, PolyRing
-from charmod.exactmath import GRID, QExpSeries, RAT_RING, qs_exp, qs_mul
+from charmod.exactmath import GRID, QExpSeries, RAT_RING, qs_exp, qs_inv, qs_mul
 
 POLY_RING = PolyRing({"u": 2, "v": 4}, cap=8)
 
@@ -169,3 +170,188 @@ def test_pow_matches_repeated_multiplication(make):
         got = base ** exponent
         assert got == expected, exponent
         assert got != shifted(expected), exponent
+
+
+# ----------------------------------------------------------------------
+# ring.dot against a dict of Fraction products
+# ----------------------------------------------------------------------
+
+
+def naive_dot(ring, pairs):
+    """Sum of a * b over the pairs, one Fraction product per term pair."""
+    if ring is RAT_RING:
+        return sum((Fraction(a) * Fraction(b) for a, b in pairs), Fraction(0))
+    out = {}
+    for p, q in pairs:
+        for e, c in naive_product(p, q).coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return GradedPoly(ring, out)
+
+
+def bumped_poly(poly):
+    """``poly`` with 1 added to the coefficient of its first monomial."""
+    coeffs = dict(poly.coeffs)
+    key = next(iter(coeffs), (0,) * len(poly.ring.names))
+    coeffs[key] = coeffs.get(key, Fraction(0)) + 1
+    return GradedPoly(poly.ring, coeffs)
+
+
+poly_pairs = st.lists(st.tuples(polys, polys), max_size=4)
+rationals = st.one_of(coefficients, st.integers(-30, 30))
+rational_pairs = st.lists(st.tuples(rationals, rationals), max_size=8)
+
+
+@given(pairs=poly_pairs)
+@settings(max_examples=50, deadline=None)
+def test_poly_dot_matches_fraction_products(pairs):
+    expected = naive_dot(MUL_RING, pairs)
+    got = MUL_RING.dot(pairs)
+    assert got == expected
+    assert got != bumped_poly(expected)
+    # every operand keeps its cached numerators; a second pass must agree
+    assert MUL_RING.dot(pairs) == expected
+
+
+@given(pairs=poly_pairs)
+@settings(max_examples=25, deadline=None)
+def test_poly_dot_cancels_to_zero(pairs):
+    opposite = [(-p, q) for p, q in pairs]
+    got = MUL_RING.dot(pairs + opposite)
+    assert got == MUL_RING.zero()
+    assert got.is_zero()
+    assert got != bumped_poly(MUL_RING.zero())
+
+
+def test_poly_dot_mixed_denominators_across_the_cap():
+    g = MUL_RING.gens()
+    a, b, c = g["a"], g["b"], g["c"]
+    p = a * Fraction(1, 6) - b * Fraction(3, 10) + c * Fraction(-5, 14) + Fraction(7, 9)
+    q = a * a * Fraction(-2, 15) + b * c * Fraction(1, 4) + a * Fraction(11, 21)
+    r = c * c * Fraction(-13, 33) + b * Fraction(5, 8) - 3
+    pairs = [(p, q), (q, r), (r, r), (b * c, c)]  # b*c*c is past the cap
+    expected = naive_dot(MUL_RING, pairs)
+    assert MUL_RING.dot(pairs) == expected
+    assert MUL_RING.dot(pairs) != expected + a * Fraction(1, 1000)
+
+
+def test_dot_of_no_pairs_is_zero():
+    assert MUL_RING.dot([]) == MUL_RING.zero()
+    assert MUL_RING.dot([]) != MUL_RING.one()
+    got = RAT_RING.dot([])
+    assert isinstance(got, Fraction) and got == RAT_RING.zero()
+    assert got != RAT_RING.one()
+
+
+@given(pairs=rational_pairs)
+@settings(max_examples=80, deadline=None)
+def test_rational_dot_matches_fraction_products(pairs):
+    expected = naive_dot(RAT_RING, pairs)
+    got = RAT_RING.dot(pairs)
+    assert isinstance(got, Fraction)
+    assert got == expected
+    assert got != expected + 1
+
+
+@given(pairs=rational_pairs)
+@settings(max_examples=30, deadline=None)
+def test_rational_dot_cancels_to_zero(pairs):
+    got = RAT_RING.dot(pairs + [(-a, b) for a, b in pairs])
+    assert got == 0 and got.denominator == 1
+    assert got != 1
+
+
+# ----------------------------------------------------------------------
+# qs_mul and qs_inv against the per-pair loops
+# ----------------------------------------------------------------------
+
+
+def coefficient_product(ring, x, y):
+    return x * y if ring is RAT_RING else naive_product(x, y)
+
+
+def plain_qs_mul(a, b):
+    """Double loop over term pairs: one product and one sum per pair."""
+    order = min(a.order, b.order)
+    limit = GRID * order
+    terms = {}
+    for ka, ca in a.terms.items():
+        if ka > limit:
+            continue
+        for kb, cb in b.terms.items():
+            k = ka + kb
+            if k > limit:
+                continue
+            prod = coefficient_product(a.ring, ca, cb)
+            if k in terms:
+                terms[k] = terms[k] + prod
+            else:
+                terms[k] = prod
+    return QExpSeries(a.ring, order, terms)
+
+
+def plain_qs_inv(a):
+    """b_n = -a_0^{-1} * sum_{j>=1} a_j b_{n-j}, one product per term."""
+    ring = a.ring
+    coeffs = a.as_q_coeffs()
+    inv0 = Fraction(1) / coeffs[0] if ring is RAT_RING else coeffs[0].inverse()
+    out = [inv0]
+    for n in range(1, a.order + 1):
+        acc = ring.zero()
+        for j in range(1, n + 1):
+            acc = acc + coefficient_product(ring, coeffs[j], out[n - j])
+        out.append(-coefficient_product(ring, inv0, acc))
+    return QExpSeries.from_q_coeffs(ring, a.order, out)
+
+
+MUL_CASES = {
+    # half-step support, unequal orders
+    "rational": lambda: (rational_base(), rational_exponent(7)),
+    "rational-square": lambda: (rational_exponent(24), rational_exponent(24)),
+    "poly": lambda: (poly_base(), poly_exponent(5)),
+    "poly-long": lambda: (poly_exponent(6), qs_exp(poly_exponent(4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUL_CASES))
+def test_qs_mul_matches_pair_loop(case):
+    a, b = MUL_CASES[case]()
+    expected = plain_qs_mul(a, b)
+    assert expected.order == min(a.order, b.order)
+    for got in (qs_mul(a, b), qs_mul(b, a)):
+        assert got == expected
+        assert got != shifted(expected)
+
+
+grid_terms = st.dictionaries(st.integers(0, GRID * 3), rationals, max_size=10)
+
+
+@given(ta=grid_terms, tb=grid_terms, oa=st.integers(0, 3), ob=st.integers(0, 3))
+@settings(max_examples=50, deadline=None)
+def test_qs_mul_matches_pair_loop_on_random_series(ta, tb, oa, ob):
+    a, b = QExpSeries(RAT_RING, oa, ta), QExpSeries(RAT_RING, ob, tb)
+    expected = plain_qs_mul(a, b)
+    got = qs_mul(a, b)
+    assert got == expected
+    assert got != shifted(expected)
+
+
+INV_CASES = {
+    "rational": lambda: QExpSeries.from_q_coeffs(
+        RAT_RING, 9, [Fraction(3, 2), 0, Fraction(-5, 7), 4, 0, 0, Fraction(1, 9)]
+    ),
+    "poly": lambda: QExpSeries.from_q_coeffs(
+        POLY_RING,
+        4,
+        [Fraction(2) + POLY_RING.gen("u"), 0, POLY_RING.gen("v") * Fraction(1, 3) - 1, POLY_RING.gen("u")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INV_CASES))
+def test_qs_inv_matches_pair_loop(case):
+    a = INV_CASES[case]()
+    expected = plain_qs_inv(a)
+    got = qs_inv(a)
+    assert got == expected
+    assert got != shifted(expected)
+    assert plain_qs_mul(a, got) == QExpSeries.one(a.ring, a.order)
