@@ -79,7 +79,6 @@ from .cubiclattice import (
     CubicFormSpec,
     HypothesisWarning,
     NoSolution,
-    ScaleError,
     TrilinearLattice,
     check_cubic_relations,
     is_characteristic,

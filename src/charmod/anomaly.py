@@ -666,10 +666,10 @@ REGISTRY_IDS = (
 THEOREM_IDS = REGISTRY_IDS[:6]
 
 _FACT_SETTINGS = {
-    "fact_spinc_q": ("Qc", 14, -24),
-    "fact_spinc_r": ("Rc", 10, -264),
-    "fact_orient_q": ("QL", 14, -24),
-    "fact_orient_r": ("RL", 10, -264),
+    "fact_spinc_q": ("Qc", 14),
+    "fact_spinc_r": ("Rc", 10),
+    "fact_orient_q": ("QL", 14),
+    "fact_orient_r": ("RL", 10),
 }
 
 
@@ -735,7 +735,7 @@ def _check_theorem(reg_id, order, cap):
 
 
 def _check_fact(reg_id, order, cap):
-    kind, weight, ratio = _FACT_SETTINGS[reg_id]
+    kind, weight = _FACT_SETTINGS[reg_id]
     ring = default_ring(cap)
     cls = build_twisted_class(kind, order, ring)
     s12 = degree_part_series(cls, 12)
@@ -749,10 +749,6 @@ def _check_fact(reg_id, order, cap):
             [],
             {},
         )
-    s0 = s12.coefficient(0)
-    s1 = s12.coefficient(1)
-    if s1 != s0 * ratio:
-        return "q^1/q^0 ratio is not %d" % ratio, [], [], {}
     if m == 0:
         return "degree-12 part vanishes (multiplier 0)", [], [], {"multiplier": "0"}
     return "", [], [], {"multiplier": str(m)}
@@ -793,10 +789,10 @@ def _check_q1_bundle(reg_id, order, cap):
     ring = default_ring(cap)
     b = display_bundles(ring)
     if reg_id == "b1_check":
-        expansion = witten_expand("ThetaTwisted", [b["T"], b["xi"]], max(int(order), 1))
+        expansion = witten_expand("ThetaTwisted", [b["T"], b["xi"]], 1)
         expected = b["B1"]
     else:
-        expansion = witten_expand("Phi", [b["T"]], max(int(order), 1))
+        expansion = witten_expand("Phi", [b["T"]], 1)
         expected = b["D1"]
     actual = expansion.get(Fraction(1))
     if actual is None:
@@ -877,14 +873,14 @@ def verify_identity(reg_id, order=6, cap=12):
 
     Raises ArgumentError for ``cap < 12``, where every degree-12 part is 0
     and the checks would pass on 0 = 0, and for ``order < 1``, which leaves
-    no q^1 coefficient for the ratio checks.
+    no q^1 coefficient for the modular-form matches.
     """
     if reg_id not in REGISTRY_IDS:
         raise ValueError("unknown registry id %r" % (reg_id,))
     if cap < 12:
         raise ArgumentError("cap must be at least 12 to hold the degree-12 parts, got %d" % cap)
     if order < 1:
-        raise ArgumentError("order must be at least 1 for the q^1/q^0 ratios, got %d" % order)
+        raise ArgumentError("order must be at least 1 to match q^1 in the fact checks, got %d" % order)
     started = time.perf_counter()
     if reg_id in THEOREM_IDS:
         witness, findings, assumptions, data = _check_theorem(reg_id, order, cap)

@@ -54,7 +54,6 @@ class CliConfig:
     cap: int = 12
     format: str = "text"
     output: str = None
-    seed: int = 0
     tol: float = 1e-8
 
 
@@ -82,7 +81,7 @@ def _cmd_verify(args, config):
         raise UsageError("--cap must be at least 12 to hold the degree-12 parts, got %d"
                          % config.cap)
     if config.order < 1:
-        raise UsageError("--order must be at least 1 for the q^1/q^0 ratios, got %d"
+        raise UsageError("--order must be at least 1 to match q^1 in the fact checks, got %d"
                          % config.order)
     ids = args.id or ["all"]
     if "all" in ids:
@@ -141,19 +140,15 @@ def _cmd_lattice(args, config):
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise UsageError("cannot load %s: %s" % (args.file, exc))
     lattice, spec = data["lattice"], data["spec"]
-    seed = args.seed if args.seed is not None else data["seed"]
     modulus = data["modulus"]
 
     report = {"file": args.file, "rank": lattice.rank, "modulus": modulus}
     caught = []
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always", HypothesisWarning)
-        report["characteristic"] = (
-            is_characteristic(lattice, spec.a) if lattice.rank <= 8 else None
-        )
+        report["characteristic"] = is_characteristic(lattice, spec.a)
         try:
-            bhat = solve_bhat(lattice, spec.a, modulus, samples=args.samples, seed=seed)
-            report["bhat"] = [int(v) for v in bhat]
+            report["bhat"] = solve_bhat(lattice, spec.a, modulus)
         except NoSolution as exc:
             report["bhat"] = None
             report["no_solution"] = str(exc)
@@ -161,7 +156,7 @@ def _cmd_lattice(args, config):
     if caught:
         report["warnings"] = caught
     if report["bhat"] is not None:
-        relations = check_cubic_relations(lattice, spec, samples=args.samples, seed=seed)
+        relations = check_cubic_relations(lattice, spec)
         report["relations"] = relations
         passed = relations["passed"]
     else:
@@ -264,8 +259,6 @@ def build_parser():
 
     p_lattice = sub.add_parser("lattice", help="process a lattice JSON file")
     p_lattice.add_argument("--file", required=True)
-    p_lattice.add_argument("--samples", type=int, default=1000)
-    p_lattice.add_argument("--seed", type=int, default=None)
     p_lattice.add_argument("--format", choices=("text", "json"), default="text")
     p_lattice.add_argument("--output")
 
@@ -294,7 +287,6 @@ def main(argv=None):
         cap=getattr(args, "cap", 12),
         format=getattr(args, "format", "text"),
         output=getattr(args, "output", None),
-        seed=getattr(args, "seed", 0) or 0,
         tol=getattr(args, "tol", 1e-8),
     )
     commands = {

@@ -3,23 +3,24 @@ mod-24/12/3 linearization of x -> 4x^3 + 6ax^2 + 3a^2x.
 
 A lattice carries a fully symmetric trilinear form T; products of lattice
 elements are read through T (x^3 = T(x,x,x), ax^2 = T(a,x,x), and so on).
-Everything here is brute-force integer arithmetic: small ranks are checked
-exhaustively, larger ones by basis evaluation plus randomized sampling.
+Everything is exact arithmetic in Python ints, and each claim about all of
+Z^n is decided on finitely many points: whether a is characteristic on the
+basis pairs, and each congruence or identity between cubic polynomials on
+``certificate_points``.  Only ``verify_refinement`` samples, because the
+refinement it tests is an arbitrary callable.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-
-import numpy as np
-
-
-class ScaleError(ValueError):
-    """The requested exhaustive check is too large for this rank."""
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import lcm
+from operator import add, index, mul
 
 
 class NoSolution(ArithmeticError):
@@ -41,22 +42,42 @@ class HypothesisWarning(UserWarning):
 MODULI = (24, 12, 3)
 
 
+def _int_vector(values, length, label):
+    """``values`` as a list of Python ints of the given length."""
+    try:
+        v = [index(x) for x in values]
+    except TypeError:
+        raise ValueError("%s must be a vector of integers" % label) from None
+    if len(v) != length:
+        raise ValueError("%s must have length %d" % (label, length))
+    return v
+
+
 class TrilinearLattice:
-    """Free abelian group of finite rank with a symmetric trilinear form."""
+    """Free abelian group of finite rank with a symmetric trilinear form.
+
+    ``tensor`` is any n x n x n nested sequence of integers, nested lists or
+    a numpy array; it is kept as nested lists of Python ints.
+    """
 
     def __init__(self, tensor):
-        t = np.asarray(tensor, dtype=np.int64)
-        if t.ndim != 3 or len(set(t.shape)) != 1:
-            raise ValueError("tensor must be n x n x n, got shape %s" % (t.shape,))
-        for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            if not np.array_equal(t, np.transpose(t, axes)):
-                raise ValueError("tensor is not symmetric under index permutations")
+        try:
+            t = [[[index(v) for v in row] for row in plane] for plane in tensor]
+        except TypeError:
+            raise ValueError("tensor must be an n x n x n array of integers") from None
+        n = len(t)
+        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in t):
+            raise ValueError("tensor must be n x n x n")
+        cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        # two transpositions generate every permutation of the indices
+        if any(t[i][j][k] != t[j][i][k] or t[i][j][k] != t[i][k][j] for i, j, k in cells):
+            raise ValueError("tensor is not symmetric under index permutations")
         self.tensor = t
-        self.rank = t.shape[0]
-        # Nonzero entries as Python ints, so T is evaluated exactly; cube()
-        # uses only i <= j <= k, weighted by the count of distinct index
-        # permutations (1, 3 or 6), which is 10 terms instead of 27 at rank 3.
-        self._entries = [(i, j, k, int(t[i, j, k])) for i, j, k in zip(*np.nonzero(t))]
+        self.rank = n
+        # cube() uses only i <= j <= k, weighted by the count of distinct
+        # index permutations (1, 3 or 6), which is 10 terms instead of 27 at
+        # rank 3.
+        self._entries = [(i, j, k, t[i][j][k]) for i, j, k in cells if t[i][j][k]]
         self._cube_entries = [
             (i, j, k, (1, 3, 6)[len({i, j, k}) - 1] * v)
             for i, j, k, v in self._entries
@@ -64,20 +85,21 @@ class TrilinearLattice:
         ]
 
     def trilinear(self, x, y, z):
-        """T(x, y, z) as an exact Python integer (no int64 wrap)."""
-        x, y, z = (np.asarray(v).tolist() for v in (x, y, z))
+        """T(x, y, z) as an exact Python integer."""
+        x, y, z = (list(map(index, v)) for v in (x, y, z))
         return sum([t * x[i] * y[j] * z[k] for i, j, k, t in self._entries])
 
     def cube(self, x):
         """T(x, x, x) as an exact Python integer."""
-        x = np.asarray(x).tolist()
+        x = list(map(index, x))
         return sum([t * x[i] * x[j] * x[k] for i, j, k, t in self._cube_entries])
 
-    def _vector(self, v, label):
-        v = np.asarray(v, dtype=np.int64)
-        if v.shape != (self.rank,):
-            raise ValueError("%s must have length %d" % (label, self.rank))
-        return v
+    def _contract(self, a):
+        """The matrix T(a, e_j, e_k), as nested lists of Python ints."""
+        out = [[0] * self.rank for _ in range(self.rank)]
+        for i, j, k, t in self._entries:
+            out[j][k] += a[i] * t
+        return out
 
     def __repr__(self):
         return "TrilinearLattice(rank=%d)" % self.rank
@@ -91,202 +113,193 @@ class CubicFormSpec:
     b: tuple = None
 
     def validated(self, rank):
-        a = np.asarray(self.a, dtype=np.int64)
-        if a.shape != (rank,):
-            raise ValueError("a must have length %d" % rank)
-        b = None
-        if self.b is not None:
-            b = np.asarray(self.b, dtype=np.int64)
-            if b.shape != (rank,):
-                raise ValueError("b must have length %d" % rank)
+        """(a, b) as lists of Python ints; b is None when unset."""
+        a = _int_vector(self.a, rank, "a")
+        b = None if self.b is None else _int_vector(self.b, rank, "b")
         return a, b
 
 
-def _binary_vectors(rank):
-    out = np.indices((2,) * rank).reshape(rank, -1).T
-    return out.astype(np.int64)
+@lru_cache(maxsize=None)
+def certificate_points(rank):
+    """The C(n+3, 3) points x in N^n with x_1 + ... + x_n <= 3.
+
+    A polynomial of degree <= 3 with integer values on Z^n is a
+    Z-combination of the binomials C(x_1, k_1)...C(x_n, k_n) with
+    k_1 + ... + k_n <= 3 (Polya 1915).  Its coefficients are its forward
+    differences at 0, which are integer combinations of its values at
+    exactly these points.  So it is 0 mod m on all of Z^n iff it is 0 mod m
+    here, and 0 everywhere iff it is 0 here.  The points come in order of
+    degree, so the first failing one is a smallest witness.
+    """
+    points = []
+    for degree in range(4):
+        for indices in combinations_with_replacement(range(rank), degree):
+            x = [0] * rank
+            for i in indices:
+                x[i] += 1
+            points.append(tuple(x))
+    return tuple(points)
 
 
 def is_characteristic(lattice, a):
-    """Whether T(a,x,y) = T(x,x,y) + T(x,y,y) mod 2 for all x, y in (Z/2)^n."""
-    if lattice.rank > 8:
-        raise ScaleError("characteristic test loops over (Z/2)^n pairs; rank > 8")
-    a = lattice._vector(a, "a")
+    """Whether T(a,x,y) = T(x,x,y) + T(x,y,y) mod 2 for all x, y in Z^n.
+
+    Mod 2, T(x,x,y) = sum_i x_i T(e_i,e_i,y): the off-diagonal terms of x
+    come in equal pairs, and x_i^2 = x_i.  So both sides are bilinear in
+    (x, y) mod 2, and the condition holds iff it holds on the n^2 basis
+    pairs: T(a,e_i,e_j) = T(e_i,e_i,e_j) + T(e_i,e_j,e_j) mod 2.
+    """
+    a = _int_vector(a, lattice.rank, "a")
     t = lattice.tensor
-    u = _binary_vectors(lattice.rank)
-    pair_a = u @ np.einsum("ijk,k->ij", t, a) @ u.T  # T(x_m, x_l, a)
-    diag = np.einsum("mi,mj,ijk->mk", u, u, t)  # T(x_m, x_m, .)
-    cubic = diag @ u.T  # T(x_m, x_m, x_l)
-    defect = pair_a - cubic - cubic.T
-    return bool((defect % 2 == 0).all())
+    ta = lattice._contract(a)
+    n = lattice.rank
+    return all(
+        (ta[i][j] - t[i][i][j] - t[i][j][j]) % 2 == 0 for i in range(n) for j in range(n)
+    )
 
 
-def _grid_points(rank, modulus):
-    out = np.indices((modulus,) * rank).reshape(rank, -1).T
-    return out.astype(np.int64)
-
-
-def _defects(t, a, bhat, points, modulus):
-    """(4x^3 + 6ax^2 + 3a^2x - bhat.x) mod m at each sample point."""
-    cubic = np.einsum("ijk,mi,mj,mk->m", t, points, points, points)
-    quad = np.einsum("ijk,i,mj,mk->m", t, a, points, points)
-    lin = np.einsum("ijk,i,j,mk->m", t, a, a, points)
-    return (4 * cubic + 6 * quad + 3 * lin - points @ bhat) % modulus
-
-
-def solve_bhat(lattice, a, modulus=24, samples=1000, seed=None):
+def solve_bhat(lattice, a, modulus=24, samples=None, seed=None):
     """The unique dual vector with bhat(x) = 4x^3 + 6ax^2 + 3a^2x mod m.
 
-    The candidate is read off on basis vectors and then verified globally:
-    exhaustively over (Z/m)^n for rank <= 2, otherwise on basis vectors
-    plus at least 1000 random points.  A nonzero defect raises NoSolution
-    with the counterexample; for m = 24 a non-characteristic a triggers a
-    HypothesisWarning first (the linearization theorem assumes it).
+    bhat is read off on the basis vectors.  The defect
+    4x^3 + 6ax^2 + 3a^2x - bhat.x is a cubic polynomial in x, so checking it
+    on ``certificate_points`` proves it vanishes mod m on all of Z^n.  A
+    nonzero defect raises NoSolution at the first failing point; for m = 24
+    a non-characteristic a triggers a HypothesisWarning first (the
+    linearization theorem assumes it).  Returns a list of ints in [0, m).
+    ``samples`` and ``seed`` are unused: nothing is sampled.  They are
+    accepted so that callers written for the sampled check keep working.
     """
     if modulus not in MODULI:
         raise ValueError("modulus must be one of %s" % (MODULI,))
-    a = lattice._vector(a, "a")
-    if modulus == 24 and lattice.rank <= 8 and not is_characteristic(lattice, a):
+    a = _int_vector(a, lattice.rank, "a")
+    if modulus == 24 and not is_characteristic(lattice, a):
         warnings.warn(
-            "a = %s is not characteristic; mod-24 linearization may fail"
-            % (a.tolist(),),
+            "a = %s is not characteristic; mod-24 linearization may fail" % (a,),
             HypothesisWarning,
             stacklevel=2,
         )
 
-    # The defect mod m depends only on the residues of T and a, and with
-    # every entry below m the int64 einsums here and in _defects cannot wrap.
-    t = lattice.tensor % modulus
-    a = a % modulus
-    bhat = (
-        4 * np.einsum("iii->i", t)
-        + 6 * np.diagonal(np.einsum("ijk,i->jk", t, a))
-        + 3 * np.einsum("ijk,i,j->k", t, a, a)
-    ) % modulus
-
-    if lattice.rank <= 2:
-        points = _grid_points(lattice.rank, modulus)
-    else:
-        rng = np.random.default_rng(seed)
-        count = max(int(samples), 1000)
-        random_part = rng.integers(0, modulus, size=(count, lattice.rank))
-        points = np.vstack([np.eye(lattice.rank, dtype=np.int64), random_part])
-
-    defects = _defects(t, a, bhat, points, modulus)
-    bad = np.nonzero(defects)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NoSolution(points[i], defects[i], modulus)
+    t = lattice.tensor
+    ta = lattice._contract(a)  # T(a, e_j, e_k)
+    taa = [sum(map(mul, a, row)) for row in ta]  # T(a, a, e_k)
+    bhat = [
+        (4 * t[k][k][k] + 6 * ta[k][k] + 3 * taa[k]) % modulus for k in range(lattice.rank)
+    ]
+    linear = [3 * v - b for v, b in zip(taa, bhat)]
+    for x in certificate_points(lattice.rank):
+        quad = sum(xj * sum(map(mul, row, x)) for xj, row in zip(x, ta) if xj)
+        defect = (4 * lattice.cube(x) + 6 * quad + sum(map(mul, linear, x))) % modulus
+        if defect:
+            raise NoSolution(x, defect, modulus)
     return bhat
 
 
 def _poly_f(lattice, a, b, x):
-    """f_{a,b}(x) = (a+x)^3 - b(a+x), products through T; a, b, x are lists
-    of Python ints, so nothing wraps."""
-    y = [ai + xi for ai, xi in zip(a, x)]
+    """f_{a,b}(x) = (a+x)^3 - b(a+x), products through T."""
+    y = list(map(add, a, x))
     return lattice.cube(y) - sum(map(mul, y, b))
 
 
 def _poly_f_tilde(lattice, a, shifted_b, x):
     """4(a+x)^3 - 6a(a+x)^2 - (b - 3a^2)(a+x), products through T, with
-    ``shifted_b`` = b - 3a^2 given as a list of Python ints."""
-    y = [ai + xi for ai, xi in zip(a, x)]
+    ``shifted_b`` = b - 3a^2."""
+    y = list(map(add, a, x))
     quad = lattice.trilinear(a, y, y)
     return 4 * lattice.cube(y) - 6 * quad - sum(map(mul, y, shifted_b))
 
 
-def check_cubic_relations(lattice, spec, samples=1000, seed=None):
-    """Sample the half-sum identity and the /48 and /24 integrality claims.
+def check_cubic_relations(lattice, spec, samples=None, seed=None):
+    """Decide the half-sum identity and the /48 and /24 integrality claims.
 
     Relation (a): ftilde(x) = (f(2x) + f(0)) / 2, an identity for every
     (a, b).  Relation (b): when a is characteristic and b matches the
     mod-24 linearization, (f(2x) - f(0))/48 and (ftilde(x) - ftilde(0))/24
-    are integers.  Returns a report dict; failures carry the witness x.
+    are integers.  Every side is a cubic polynomial in x, so each claim is
+    decided over all of Z^n on ``certificate_points``.  Returns a report
+    dict with the number of points evaluated; a failure carries the first
+    failing x as its witness.  ``samples`` and ``seed`` are unused: nothing
+    is sampled.  They are accepted so that callers written for the sampled
+    check keep working.
     """
     a, b = spec.validated(lattice.rank)
-    characteristic = lattice.rank <= 8 and is_characteristic(lattice, a)
+    characteristic = is_characteristic(lattice, a)
     b_matches = None
     if characteristic:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", HypothesisWarning)
-            bhat = solve_bhat(lattice, a, 24, samples=samples, seed=seed)
+        bhat = solve_bhat(lattice, a, 24)
         if b is None:
-            b = bhat.copy()
-        b_matches = bool(((b - bhat) % 24 == 0).all())
+            b = bhat
+        b_matches = all((bk - hk) % 24 == 0 for bk, hk in zip(b, bhat))
     elif b is None:
         raise ValueError("spec must fix b when a is not characteristic")
+    refine = bool(characteristic and b_matches)
 
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(-50, 51, size=(int(samples), lattice.rank))
-
-    report = {
-        "samples": int(samples),
-        "characteristic": characteristic,
-        "b_congruent_mod24": b_matches,
-        "b": [int(v) for v in b],
-        "half_sum": {"passed": True, "witness": None},
-        "refine48": {"applicable": bool(characteristic and b_matches)},
-        "refine24": {"applicable": bool(characteristic and b_matches)},
-    }
-    for key in ("refine48", "refine24"):
-        if report[key]["applicable"]:
-            report[key].update(passed=True, witness=None)
-        else:
-            report[key].update(passed=None, witness=None)
-
-    # f and ftilde in Python ints: a and b may sit near the int64 limit.
-    a, b = a.tolist(), b.tolist()
-    units = np.eye(lattice.rank, dtype=np.int64)
-    shifted_b = [bk - 3 * lattice.trilinear(a, a, unit) for bk, unit in zip(b, units)]
+    shifted_b = [bk - 3 * sum(map(mul, a, row)) for bk, row in zip(b, lattice._contract(a))]
     zero = [0] * lattice.rank
     f0 = _poly_f(lattice, a, b, zero)
     ft0 = _poly_f_tilde(lattice, a, shifted_b, zero)
-    for x in xs.tolist():
+    points = certificate_points(lattice.rank)
+    half_sum = refine48 = refine24 = None  # first failing x of each claim
+    for x in points:
         f2x = _poly_f(lattice, a, b, [2 * v for v in x])
         ft = _poly_f_tilde(lattice, a, shifted_b, x)
-        if 2 * ft != f2x + f0 and report["half_sum"]["witness"] is None:
-            report["half_sum"] = {"passed": False, "witness": x}
-        if report["refine48"]["applicable"]:
-            if (f2x - f0) % 48 != 0 and report["refine48"]["witness"] is None:
-                report["refine48"].update(passed=False, witness=x)
-            if (ft - ft0) % 24 != 0 and report["refine24"]["witness"] is None:
-                report["refine24"].update(passed=False, witness=x)
+        if half_sum is None and 2 * ft != f2x + f0:
+            half_sum = list(x)
+        if refine and refine48 is None and (f2x - f0) % 48:
+            refine48 = list(x)
+        if refine and refine24 is None and (ft - ft0) % 24:
+            refine24 = list(x)
 
-    report["passed"] = bool(
-        report["half_sum"]["passed"]
-        and report["refine48"]["passed"] is not False
-        and report["refine24"]["passed"] is not False
-    )
-    return report
+    def refinement(witness):
+        passed = (witness is None) if refine else None
+        return {"applicable": refine, "passed": passed, "witness": witness}
+
+    return {
+        "points": len(points),
+        "characteristic": characteristic,
+        "b_congruent_mod24": b_matches,
+        "b": b,
+        "half_sum": {"passed": half_sum is None, "witness": half_sum},
+        "refine48": refinement(refine48),
+        "refine24": refinement(refine24),
+        "passed": half_sum is None and refine48 is None and refine24 is None,
+    }
+
+
+def _ratio(value):
+    """(numerator, denominator) of an int, a Fraction or anything that
+    ``Fraction`` accepts."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+_SIGNS = (1, -1, -1, -1, 1, 1, 1, -1)
 
 
 def verify_refinement(lattice, h, samples=1000, seed=None):
     """Check T(x,y,z) against the third difference of a cubic refinement h.
 
-    h maps integer vectors to rationals; the identity tested is
-    T(x,y,z) = h(x+y+z) - h(x+y) - h(x+z) - h(y+z) + h(x) + h(y) + h(z) - h(0).
+    h maps integer vectors (lists of ints) to rationals; the identity tested
+    is T(x,y,z) = h(x+y+z) - h(x+y) - h(x+z) - h(y+z) + h(x) + h(y) + h(z)
+    - h(0).  h is an arbitrary callable, so this samples: ``samples``
+    triples with entries in [-9, 9], drawn with ``random.Random(seed)``.
+    The eight values are summed as int numerators over their lcm.
     """
-    rng = np.random.default_rng(seed)
-    triples = rng.integers(-9, 10, size=(int(samples), 3, lattice.rank))
-    zero = np.zeros(lattice.rank, dtype=np.int64)
-    h0 = Fraction(h(zero))
-    for x, y, z in triples:
-        total = (
-            Fraction(h(x + y + z))
-            - Fraction(h(x + y))
-            - Fraction(h(x + z))
-            - Fraction(h(y + z))
-            + Fraction(h(x))
-            + Fraction(h(y))
-            + Fraction(h(z))
-            - h0
-        )
-        if total != lattice.trilinear(x, y, z):
-            return {
-                "passed": False,
-                "samples": int(samples),
-                "witness": [x.tolist(), y.tolist(), z.tolist()],
-            }
+    rng = random.Random(seed)
+    n = lattice.rank
+    h0 = _ratio(h([0] * n))
+    entries = range(-9, 10)
+    for _ in range(int(samples)):
+        drawn = rng.choices(entries, k=3 * n)
+        x, y, z = drawn[:n], drawn[n:2 * n], drawn[2 * n:]
+        xy, xz, yz = list(map(add, x, y)), list(map(add, x, z)), list(map(add, y, z))
+        values = [_ratio(h(v)) for v in (list(map(add, xy, z)), xy, xz, yz, x, y, z)]
+        values.append(h0)
+        den = lcm(*[d for _, d in values])
+        total = sum(s * num * (den // d) for s, (num, d) in zip(_SIGNS, values))
+        if total != lattice.trilinear(x, y, z) * den:
+            return {"passed": False, "samples": int(samples), "witness": [x, y, z]}
     return {"passed": True, "samples": int(samples), "witness": None}
 
 
@@ -294,7 +307,8 @@ def load_lattice_json(source):
     """Parse the lattice input format.
 
     Expected keys: rank, trilinear (full n x n x n array), and optionally
-    a (default zero), b, modulus (default 24), seed (default 0).
+    a (default zero), b, modulus (default 24), seed (default 0; no check
+    samples, so none reads it).  Entries may be integers of any size.
     """
     if isinstance(source, str):
         with open(source) as handle:
@@ -310,10 +324,9 @@ def load_lattice_json(source):
         raise ValueError(
             "declared rank %d does not match tensor rank %d" % (rank, lattice.rank)
         )
-    a = payload.get("a") or [0] * rank
-    spec = CubicFormSpec(a=tuple(int(v) for v in a),
-                         b=tuple(int(v) for v in payload["b"]) if payload.get("b") else None)
-    spec.validated(rank)
+    a = _int_vector(payload.get("a") or [0] * rank, rank, "a")
+    b = payload.get("b")
+    spec = CubicFormSpec(a=tuple(a), b=tuple(_int_vector(b, rank, "b")) if b else None)
     return {
         "lattice": lattice,
         "spec": spec,

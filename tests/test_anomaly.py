@@ -31,8 +31,15 @@ from charmod.anomaly import (
     verify_identity,
     _check_fact,
 )
-from charmod.charring import ArgumentError, PolyRing, default_ring, multiplicative_class
+from charmod.charring import (
+    ArgumentError,
+    PolyRing,
+    default_ring,
+    multiplicative_class,
+    witten_expand,
+)
 from charmod.exactmath import QExpSeries, qs_mul
+from charmod.thetamod import modular_basis
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +85,24 @@ def test_fact_check_fails_on_zero_multiplier():
     witness, _, _, data = _check_fact("fact_spinc_q", 3, 12)
     assert witness == ""
     assert data["multiplier"] != "0"
+
+
+def test_fact_basis_rows_fix_the_q1_ratio():
+    # match_modular_basis sets m = s0 and forces s1 = m * (basis q^1), so
+    # once it passes the q^1/q^0 ratio of each fact_* class is the basis
+    # row's: E4^2 E6 at weight 14 and E4 E6 at weight 10
+    assert sorted({weight for _, weight in anomaly._FACT_SETTINGS.values()}) == [10, 14]
+    assert [modular_basis(14, 1).coefficient(n) for n in (0, 1)] == [1, -24]
+    assert [modular_basis(10, 1).coefficient(n) for n in (0, 1)] == [1, -264]
+
+
+@pytest.mark.parametrize("name, keys", [("ThetaTwisted", ("T", "xi")), ("Phi", ("T",))])
+def test_q1_coefficient_is_read_at_order_1(name, keys):
+    # b1_check and d1_check expand at order 1: higher orders add only
+    # higher powers of q
+    bundles = display_bundles(default_ring())
+    args = [bundles[key] for key in keys]
+    assert witten_expand(name, args, 1)[Fraction(1)].ch == witten_expand(name, args, 8)[Fraction(1)].ch
 
 
 SIDES = (

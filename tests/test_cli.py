@@ -147,7 +147,7 @@ def test_lattice_pass(capsys, tmp_path):
     path = write_lattice(
         tmp_path, {"rank": 1, "trilinear": [[[1]]], "a": [2], "seed": 3}
     )
-    code, out, _ = run_cli(capsys, "lattice", "--file", path, "--samples", "50")
+    code, out, _ = run_cli(capsys, "lattice", "--file", path)
     assert code == EXIT_PASS
     assert "bhat: [4]" in out
     assert "passed: True" in out
@@ -155,9 +155,7 @@ def test_lattice_pass(capsys, tmp_path):
 
 def test_lattice_json_report(capsys, tmp_path):
     path = write_lattice(tmp_path, {"rank": 1, "trilinear": [[[1]]], "a": [0]})
-    code, out, _ = run_cli(
-        capsys, "lattice", "--file", path, "--samples", "50", "--format", "json"
-    )
+    code, out, _ = run_cli(capsys, "lattice", "--file", path, "--format", "json")
     assert code == EXIT_PASS
     report = json.loads(out)
     assert report["bhat"] == [4]
@@ -167,14 +165,51 @@ def test_lattice_json_report(capsys, tmp_path):
 
 def test_lattice_no_solution(capsys, tmp_path):
     path = write_lattice(tmp_path, {"rank": 1, "trilinear": [[[1]]], "a": [1]})
-    code, out, _ = run_cli(
-        capsys, "lattice", "--file", path, "--samples", "50", "--format", "json"
-    )
+    code, out, _ = run_cli(capsys, "lattice", "--file", path, "--format", "json")
     assert code == EXIT_FAIL
     report = json.loads(out)
     assert report["bhat"] is None
     assert "defect" in report["no_solution"]
     assert any("not characteristic" in w for w in report.get("warnings", []))
+
+
+def test_lattice_entries_past_int64(capsys, tmp_path):
+    # b, a and the tensor may exceed 2^63: they stay exact Python ints
+    path = write_lattice(
+        tmp_path, {"rank": 1, "trilinear": [[[1]]], "a": [2], "b": [2**63 + 20]}
+    )
+    code, out, _ = run_cli(capsys, "lattice", "--file", path, "--format", "json")
+    assert code == EXIT_PASS
+    report = json.loads(out)
+    assert report["bhat"] == [4]
+    relations = report["relations"]
+    assert relations["b"] == [2**63 + 20]
+    assert relations["b_congruent_mod24"] is True
+    assert relations["refine48"]["passed"] is True
+    assert relations["refine24"]["passed"] is True
+
+    # T = 2^63 = 8, a = 2^64 = 16 (mod 24): 4*8 + 6*8*16 + 3*8*16^2 = 8
+    path = write_lattice(
+        tmp_path, {"rank": 1, "trilinear": [[[2**63]]], "a": [2**64]}, name="big.json"
+    )
+    code, out, _ = run_cli(capsys, "lattice", "--file", path, "--format", "json")
+    assert code == EXIT_PASS
+    report = json.loads(out)
+    assert report["characteristic"] is True
+    assert report["bhat"] == [8]
+    assert report["relations"]["passed"] is True
+
+
+def test_lattice_rejects_entries_that_are_not_integers(capsys, tmp_path):
+    for payload in (
+        {"rank": 1, "trilinear": [[[1.5]]], "a": [2]},
+        {"rank": 1, "trilinear": [[[1]]], "a": [2.5]},
+        {"rank": 1, "trilinear": [[[1]]], "a": [2], "b": [4.5]},
+    ):
+        path = write_lattice(tmp_path, payload)
+        code, out, err = run_cli(capsys, "lattice", "--file", path)
+        assert code == EXIT_USAGE, payload
+        assert "must be" in err and "integers" in err, err
 
 
 def test_lattice_bad_file(capsys, tmp_path):
