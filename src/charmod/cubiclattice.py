@@ -316,10 +316,12 @@ def load_lattice_json(source):
     else:
         payload = dict(source)
     try:
-        rank = int(payload["rank"])
+        rank = index(payload["rank"])
         lattice = TrilinearLattice(payload["trilinear"])
     except KeyError as exc:
         raise ValueError("missing required key %s" % exc)
+    except TypeError:
+        raise ValueError("rank must be an integer") from None
     if lattice.rank != rank:
         raise ValueError(
             "declared rank %d does not match tensor rank %d" % (rank, lattice.rank)
@@ -327,9 +329,12 @@ def load_lattice_json(source):
     a = _int_vector(payload.get("a") or [0] * rank, rank, "a")
     b = payload.get("b")
     spec = CubicFormSpec(a=tuple(a), b=tuple(_int_vector(b, rank, "b")) if b else None)
+    modulus = payload.get("modulus", 24)
+    if not isinstance(modulus, int) or modulus not in MODULI:
+        raise ValueError("modulus must be one of %s" % (MODULI,))
     return {
         "lattice": lattice,
         "spec": spec,
-        "modulus": int(payload.get("modulus", 24)),
+        "modulus": modulus,
         "seed": int(payload.get("seed", 0)),
     }

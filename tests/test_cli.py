@@ -222,6 +222,15 @@ def test_lattice_bad_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lattice", "--file", invalid)
     assert code == EXIT_USAGE
 
+    for payload in (
+        {"rank": None, "trilinear": [[[1]]]},
+        {"rank": 1, "trilinear": [[[1]]], "modulus": 5},
+    ):
+        invalid = write_lattice(tmp_path, payload, name="bad.json")
+        code, out, err = run_cli(capsys, "lattice", "--file", invalid)
+        assert code == EXIT_USAGE, payload
+        assert "cannot load" in err
+
 
 # ----------------------------------------------------------------------
 # e8
