@@ -30,7 +30,6 @@ from .charring import (
     vb_adams,
     vb_lambda2_sym2,
     witten_character,
-    witten_expand,
 )
 from .thetamod import (
     NotProportional,
@@ -785,19 +784,22 @@ def _check_sqrt(order, cap):
     return _sides_witness(_series_witness, qs_mul(r_c, r_c), qs_mul(q_c, w_c)), [], [], {}
 
 
-def _check_q1_bundle(reg_id, order, cap):
-    ring = default_ring(cap)
+def q1_bundle_sides(reg_id, ring):
+    """Character of the q^1 coefficient of the expansion (LHS) and of the
+    displayed bundle (RHS) of b1_check or d1_check."""
     b = display_bundles(ring)
     if reg_id == "b1_check":
-        expansion = witten_expand("ThetaTwisted", [b["T"], b["xi"]], 1)
+        series = witten_character("ThetaTwisted", [b["T"], b["xi"]], 1)
         expected = b["B1"]
     else:
-        expansion = witten_expand("Phi", [b["T"]], 1)
+        series = witten_character("Phi", [b["T"]], 1)
         expected = b["D1"]
-    actual = expansion.get(Fraction(1))
-    if actual is None:
-        return "no q^1 coefficient in the expansion", [], [], {}
-    return _poly_witness(actual.ch - expected.ch), [], [], {}
+    return series.coefficient(1), expected.ch
+
+
+def _check_q1_bundle(reg_id, order, cap):
+    lhs, rhs = q1_bundle_sides(reg_id, default_ring(cap))
+    return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
 
 
 def _check_pc(order, cap):

@@ -9,10 +9,10 @@ calibration of the degree-4/8/12 root data of the rank-248 bundle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from math import lcm
-from operator import add, itemgetter
+from math import gcd, lcm
 
 from .exactmath import GRID, NotInvertible, QExpSeries, qs_exp
 
@@ -54,13 +54,23 @@ class PolyRing:
     Monomials of total degree above ``cap`` are discarded on construction,
     so every element is automatically truncated.
 
+    Monomials are packed into one int each, as in the packed monomials of
+    Monagan & Pearce ("Sparse polynomial multiplication and division in
+    Maple 14", 2010): the total degree sits in the top field, above one
+    field per generator (the first generator highest), each wide enough for
+    the largest exponent the cap allows, cap // degree.  Packed keys order
+    monomials by degree, then by exponent tuple; a monomial product is the
+    sum of the keys, and it is within the cap exactly when that sum is below
+    ``(cap + 1) << shift``.  A product within the cap fits every field, so
+    the sum never carries from one field into the next.
+
     ``dot(pairs)`` is the ring's one multiply loop: it returns the sum of
     ``a * b`` over a list of ``(a, b)`` pairs of elements as one element,
     and ``zero()`` for the empty list.  Polynomial products and the series
     convolutions of `charmod.exactmath` all go through it.
     """
 
-    __slots__ = ("degrees", "names", "cap", "key", "_index", "_degree_cache")
+    __slots__ = ("degrees", "names", "cap", "key", "_index", "_fields", "_shift", "_limit")
 
     def __init__(self, generators, cap=12):
         self.degrees = dict(generators)
@@ -68,56 +78,64 @@ class PolyRing:
         self.cap = int(cap)
         self.key = ("graded", tuple(self.degrees.items()), self.cap)
         self._index = {name: i for i, name in enumerate(self.names)}
-        # exponent tuple -> total degree; a ring sees few distinct monomials,
-        # and every product and every constructor asks for their degrees
-        self._degree_cache = {}
+        # (offset, mask) of each generator's exponent field, last one lowest
+        self._fields = []
+        shift = 0
+        for degree in reversed(self.degrees.values()):
+            width = max(self.cap // degree, 0).bit_length()
+            self._fields.insert(0, (shift, (1 << width) - 1))
+            shift += width
+        self._shift = shift
+        self._limit = (self.cap + 1) << shift
 
     def monomial_degree(self, exps):
-        degree = self._degree_cache.get(exps)
-        if degree is None:
-            degree = sum(e * self.degrees[n] for n, e in zip(self.names, exps))
-            self._degree_cache[exps] = degree
-        return degree
+        return sum(e * self.degrees[n] for n, e in zip(self.names, exps))
+
+    def pack(self, exps):
+        """Packed key of an exponent tuple within the cap."""
+        key = self.monomial_degree(exps) << self._shift
+        for e, (offset, _) in zip(exps, self._fields):
+            key += e << offset
+        return key
+
+    def unpack(self, key):
+        return tuple((key >> offset) & mask for offset, mask in self._fields)
 
     def dot(self, pairs):
         """Sum of ``a * b`` over the ``(a, b)`` pairs, truncated at the cap.
 
         The numerators of every pair are summed as plain ints over one
         common denominator, the lcm of the pairs' denominator products, so
-        the result builds one Fraction per output monomial and no
-        intermediate polynomial.  Each operand's terms come sorted by
-        degree, so the inner loop stops at the first term past the cap.
+        the result builds no Fraction and no intermediate polynomial.  Each
+        operand's terms are sorted by packed key, so the inner loop stops at
+        the first term whose product is past the cap.
         """
-        cap = self.cap
+        limit = self._limit
         den = 1
-        parts = []
         for a, b in pairs:
-            den_a, left = a._numerators()
-            den_b, right = b._numerators()
-            pair_den = den_a * den_b
-            den = lcm(den, pair_den)
-            parts.append((pair_den, left, right))
-        sums = {}
-        for pair_den, left, right in parts:
-            scale = den // pair_den
-            for e1, d1, n1 in left:
-                room = cap - d1
+            den = lcm(den, a.den * b.den)
+        sums = defaultdict(int)
+        for a, b in pairs:
+            scale = den // (a.den * b.den)
+            right = b.nums.items()
+            for k1, n1 in a.nums.items():
+                room = limit - k1
                 n1 *= scale
-                for e2, d2, n2 in right:
-                    if d2 > room:
+                for k2, n2 in right:
+                    if k2 >= room:
                         break
-                    e = tuple(map(add, e1, e2))
-                    sums[e] = sums.get(e, 0) + n1 * n2
-        return GradedPoly(self, {e: Fraction(n, den) for e, n in sums.items()})
+                    sums[k1 + k2] += n1 * n2
+        return _poly(self, den, sums)
 
     def zero(self):
-        return GradedPoly(self, {})
+        return _poly(self, 1, {})
 
     def one(self):
-        return GradedPoly(self, {(0,) * len(self.names): Fraction(1)})
+        return _poly(self, 1, {0: 1})
 
     def constant(self, value):
-        return GradedPoly(self, {(0,) * len(self.names): Fraction(value)})
+        """The constant ``value``, an int or a Fraction."""
+        return _poly(self, value.denominator, {0: value.numerator})
 
     def gen(self, name):
         if name not in self._index:
@@ -146,42 +164,37 @@ class PolyRing:
 
 
 class GradedPoly:
-    """Element of a PolyRing: exponent-tuple -> Fraction, zeros dropped."""
+    """Element of a PolyRing: ``nums[k] / den`` at each packed monomial key k.
 
-    __slots__ = ("ring", "coeffs", "_terms")
+    ``nums`` is sorted by key and holds no zero, and ``den`` > 0 shares no
+    factor with all of the numerators, so equal elements have equal ``den``
+    and ``nums``.  Sums, negation and scalar products stay in ints over one
+    denominator.  ``coeffs`` is the public ``{exponent tuple: Fraction}``
+    view, in the same order, built on first use and kept: an element is
+    never mutated after construction.
+    """
+
+    __slots__ = ("ring", "den", "nums", "_coeffs")
 
     def __init__(self, ring, coeffs):
-        self.ring = ring
-        clean = {}
+        terms = {}
         for exps, coeff in coeffs.items():
-            if coeff == 0:
-                continue
-            if ring.monomial_degree(exps) > ring.cap:
-                continue
-            clean[exps] = coeff
-        self.coeffs = clean
-        self._terms = None
+            if coeff != 0 and ring.monomial_degree(exps) <= ring.cap:
+                if min(exps, default=0) < 0:
+                    raise ValueError("negative exponent in %r" % (exps,))
+                terms[ring.pack(exps)] = Fraction(coeff)
+        den = reduce(lcm, (c.denominator for c in terms.values()), 1)
+        self.ring = ring
+        self.den = den
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in sorted(terms.items())}
+        self._coeffs = None
 
-    def _numerators(self):
-        """``(den, [(exps, degree, numerator)])`` with every coefficient
-        equal to numerator/den, sorted by degree, for `PolyRing.dot`.
-
-        Filled on first use and kept: ``coeffs`` is never mutated after
-        ``__init__``, so the cached terms cannot go stale.  reduce, not
-        lcm(*generator): that argument tuple grows by realloc and then parks
-        on the free list of its final size, about 1.5 MB of peak RSS at
-        registry order 24.
-        """
-        if self._terms is None:
-            degree = self.ring.monomial_degree
-            den = reduce(lcm, (c.denominator for c in self.coeffs.values()), 1)
-            terms = [
-                (e, degree(e), c.numerator * (den // c.denominator))
-                for e, c in self.coeffs.items()
-            ]
-            terms.sort(key=itemgetter(1))
-            self._terms = (den, terms)
-        return self._terms
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            unpack, den = self.ring.unpack, self.den
+            self._coeffs = {unpack(k): Fraction(n, den) for k, n in self.nums.items()}
+        return self._coeffs
 
     # -- ring structure -------------------------------------------------
 
@@ -193,10 +206,12 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._require_same_ring(other)
-        coeffs = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            coeffs[exps] = coeffs.get(exps, Fraction(0)) + c
-        return GradedPoly(self.ring, coeffs)
+        den = lcm(self.den, other.den)
+        scale = den // other.den
+        nums = self._scaled_nums(den // self.den)
+        for k, n in other.nums.items():
+            nums[k] = nums.get(k, 0) + n * scale
+        return _poly(self.ring, den, nums)
 
     __radd__ = __add__
 
@@ -209,13 +224,14 @@ class GradedPoly:
         return (-self) + other
 
     def __neg__(self):
-        return GradedPoly(self.ring, {e: -c for e, c in self.coeffs.items()})
+        return _poly(self.ring, self.den, self._scaled_nums(-1))
+
+    def _scaled_nums(self, factor):
+        return {k: n * factor for k, n in self.nums.items()}
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.ring.zero()
-            return GradedPoly(self.ring, {e: c * other for e, c in self.coeffs.items()})
+            return _poly(self.ring, self.den * other.denominator, self._scaled_nums(other.numerator))
         self._require_same_ring(other)
         return self.ring.dot(((self, other),))
 
@@ -246,39 +262,37 @@ class GradedPoly:
         return (
             isinstance(other, GradedPoly)
             and other.ring.key == self.ring.key
-            and other.coeffs == self.coeffs
+            and other.den == self.den
+            and other.nums == self.nums
         )
 
     def __hash__(self):
-        return hash((self.ring.key, tuple(sorted(self.coeffs.items()))))
+        return hash((self.ring.key, self.den, tuple(self.nums.items())))
 
     # -- structure queries ----------------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def constant_term(self):
-        return self.coeffs.get((0,) * len(self.ring.names), Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def homogeneous_part(self, degree):
-        degree_of = self.ring.monomial_degree
-        return GradedPoly(
-            self.ring, {e: c for e, c in self.coeffs.items() if degree_of(e) == degree}
-        )
+        shift = self.ring._shift
+        return _poly(self.ring, self.den, {k: n for k, n in self.nums.items() if k >> shift == degree})
 
     def max_degree(self):
-        degree_of = self.ring.monomial_degree
-        return max((degree_of(e) for e in self.coeffs), default=0)
+        return next(reversed(self.nums), 0) >> self.ring._shift
 
     def is_homogeneous(self, degree):
-        degree_of = self.ring.monomial_degree
-        return all(degree_of(e) == degree for e in self.coeffs)
+        shift = self.ring._shift
+        return all(k >> shift == degree for k in self.nums)
 
     def monomial_coefficient(self, **exponents):
         exps = [0] * len(self.ring.names)
         for name, e in exponents.items():
             exps[self.ring._index[name]] = int(e)
-        return self.coeffs.get(tuple(exps), Fraction(0))
+        return Fraction(self.nums.get(self.ring.pack(exps), 0), self.den)
 
     # -- derived operations ----------------------------------------------
 
@@ -303,15 +317,12 @@ class GradedPoly:
 
     def divide_by_gen(self, name):
         """Exact division by a generator; every monomial must contain it."""
-        idx = self.ring._index[name]
-        coeffs = {}
-        for exps, c in self.coeffs.items():
-            if exps[idx] < 1:
-                raise ValueError("polynomial is not divisible by %s" % name)
-            e = list(exps)
-            e[idx] -= 1
-            coeffs[tuple(e)] = c
-        return GradedPoly(self.ring, coeffs)
+        ring = self.ring
+        offset, mask = ring._fields[ring._index[name]]
+        if any(not (k >> offset) & mask for k in self.nums):
+            raise ValueError("polynomial is not divisible by %s" % name)
+        step = (ring.degrees[name] << ring._shift) + (1 << offset)
+        return _poly(self.ring, self.den, {k - step: n for k, n in self.nums.items()})
 
     def substitute(self, mapping, target_ring):
         """Evaluate under generator images living in ``target_ring``.
@@ -344,12 +355,10 @@ class GradedPoly:
         return "GradedPoly(%s)" % (self,)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
-        degree_of = self.ring.monomial_degree
-        items = sorted(self.coeffs.items(), key=lambda t: (degree_of(t[0]), t[0]))
         pieces = []
-        for exps, coeff in items:
+        for exps, coeff in self.coeffs.items():
             factors = []
             for name, e in zip(self.ring.names, exps):
                 if e == 1:
@@ -365,6 +374,20 @@ class GradedPoly:
             else:
                 pieces.append("%s*%s" % (coeff, "*".join(factors)))
         return " + ".join(pieces).replace("+ -", "- ")
+
+
+def _poly(ring, den, nums):
+    """Element with coefficient ``n/den`` at each packed key of ``nums``:
+    zeros dropped, keys sorted, ``den`` and the numerators divided by their
+    gcd."""
+    nums = {k: n for k, n in sorted(nums.items()) if n}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {k: n // g for k, n in nums.items()}
+    poly = object.__new__(GradedPoly)
+    poly.ring, poly.den, poly.nums, poly._coeffs = ring, den, nums, None
+    return poly
 
 
 # Standard rings ---------------------------------------------------------
@@ -586,13 +609,10 @@ def vb_adams(bundle, k):
     k = int(k)
     if k < 1:
         raise ArgumentError("Adams operations need k >= 1, got %d" % k)
-    ring = bundle.ring
-    degree_of = ring.monomial_degree
-    coeffs = {}
-    for exps, coeff in bundle.ch.coeffs.items():
-        d = degree_of(exps)
-        coeffs[exps] = coeff * Fraction(k) ** (d // 2)
-    return VirtualBundle(GradedPoly(ring, coeffs))
+    ch = bundle.ch
+    shift = ch.ring._shift
+    nums = {key: n * k ** ((key >> shift) // 2) for key, n in ch.nums.items()}
+    return VirtualBundle(_poly(ch.ring, ch.den, nums))
 
 
 def vb_lambda2_sym2(bundle):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 from .exactmath import GRID, RAT_RING, QExpSeries, qs_exp, qs_inv, qs_mul
 from .charring import ArgumentError, _accumulate
@@ -68,12 +68,14 @@ def eisenstein(k, order):
 
 @lru_cache(maxsize=None)
 def phi(order):
-    """The product prod_{n>=1} (1 - q^n) truncated at q^order."""
-    out = QExpSeries.one(RAT_RING, order)
-    for n in range(1, order + 1):
-        factor = QExpSeries(RAT_RING, order, {0: Fraction(1), GRID * n: Fraction(-1)})
-        out = qs_mul(out, factor)
-    return out
+    """The product prod_{n>=1} (1 - q^n) truncated at q^order, by Euler's
+    pentagonal number theorem: sum_k (-1)^k q^(k(3k-1)/2) over all integers k."""
+    terms = {0: Fraction(1)}
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        terms[GRID * k * (3 * k - 1) // 2] = terms[GRID * k * (3 * k + 1) // 2] = Fraction((-1) ** k)
+        k += 1
+    return QExpSeries(RAT_RING, order, terms)
 
 
 def series_in_ring(series, ring):
@@ -146,32 +148,23 @@ def theta_log_ratio(kind, order):
 def theta_zero_power8(kind, order):
     """Eighth power of a theta constant as an exact q-series.
 
-    theta1: 2^8 q prod ((1-q^j)(1+q^j)^2)^8, support on whole powers;
-    theta2/theta3: prod ((1-q^j)(1 -/+ q^(j-1/2))^2)^8, half-integral support.
+    theta1: 2^8 q prod ((1-q^j)(1+q^j)^2)^8 = 2^8 q (sum_{n>=0} q^(n(n+1)/2))^8
+    by Gauss, on whole powers; theta2/theta3: prod ((1-q^j)(1 -/+
+    q^(j-1/2))^2)^8 = (sum_n (-/+1)^n q^(n^2/2))^8 by the Jacobi triple
+    product, on half-integral powers.  The eighth power is three squarings.
     """
     if kind == "theta1":
-        out = QExpSeries(RAT_RING, order, {GRID: Fraction(256)})
-        for j in range(1, order + 1):
-            base = GRID * j
-            factor = QExpSeries(
-                RAT_RING,
-                order,
-                {0: Fraction(1), base: Fraction(-1)},
-            )
-            plus = QExpSeries(RAT_RING, order, {0: Fraction(1), base: Fraction(1)})
-            piece = qs_mul(factor, qs_mul(plus, plus))
-            out = qs_mul(out, piece ** 8)
-        return out
-    if kind in ("theta2", "theta3"):
-        sign = Fraction(-1) if kind == "theta2" else Fraction(1)
-        out = QExpSeries.one(RAT_RING, order)
-        for j in range(1, order + 1):
-            whole = QExpSeries(RAT_RING, order, {0: Fraction(1), GRID * j: Fraction(-1)})
-            half = QExpSeries(RAT_RING, order, {0: Fraction(1), 12 * (2 * j - 1): sign})
-            piece = qs_mul(whole, qs_mul(half, half))
-            out = qs_mul(out, piece ** 8)
-        return out
-    raise ArgumentError("unknown even theta kind %r" % (kind,))
+        terms = {GRID * n * (n + 1) // 2: 1 for n in range(isqrt(2 * order) + 1)}
+    elif kind in ("theta2", "theta3"):
+        sign = -1 if kind == "theta2" else 1
+        terms = {12 * n * n: 2 * sign ** n for n in range(1, isqrt(2 * order) + 1)}
+        terms[0] = 1
+    else:
+        raise ArgumentError("unknown even theta kind %r" % (kind,))
+    out = QExpSeries(RAT_RING, order, {k: Fraction(c) for k, c in terms.items()})
+    for _ in range(3):
+        out = qs_mul(out, out)
+    return out.q_shift(GRID).scale(256) if kind == "theta1" else out
 
 
 def theta_eighth_sum(order):

@@ -109,6 +109,7 @@ SIDES = (
     [(reg_id, "theorem_sides") for reg_id in THEOREM_IDS]
     + [(reg_id, "deg8_display_sides") for reg_id in DEG8_SETTINGS]
     + [(reg_id, "bundle_xi_sides") for reg_id in ("bundle_xi_plus", "bundle_xi_minus")]
+    + [(reg_id, "q1_bundle_sides") for reg_id in ("b1_check", "d1_check")]
 )
 
 

@@ -355,3 +355,133 @@ def test_qs_inv_matches_pair_loop(case):
     assert got == expected
     assert got != shifted(expected)
     assert plain_qs_mul(a, got) == QExpSeries.one(a.ring, a.order)
+
+
+# ----------------------------------------------------------------------
+# packed GradedPoly against a dict-of-Fraction model
+# ----------------------------------------------------------------------
+
+
+def model_degree(ring, exps):
+    return sum(e * ring.degrees[n] for n, e in zip(ring.names, exps))
+
+
+def model(ring, terms):
+    """``terms`` as {exponent tuple: Fraction}, zeros and terms past the cap dropped."""
+    return {e: Fraction(c) for e, c in terms.items() if c != 0 and model_degree(ring, e) <= ring.cap}
+
+
+def model_sum(ring, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return model(ring, out)
+
+
+def model_dot(ring, pairs):
+    out = {}
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return model(ring, out)
+
+
+def bumped_model(terms, width):
+    """``terms`` with 1 added to the coefficient of its first monomial."""
+    out = dict(terms)
+    key = next(iter(out), (0,) * width)
+    out[key] = out.get(key, Fraction(0)) + 1
+    return out
+
+
+@st.composite
+def packed_cases(draw):
+    """A ring with a random cap in 12..40 and a degree-2 generator, and two
+    term dicts whose exponents reach one past what the cap allows."""
+    cap = draw(st.integers(12, 40))
+    degrees = [2] + draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    ring = PolyRing({"g%d" % i: d for i, d in enumerate(degrees)}, cap=cap)
+    exps = st.tuples(*[st.integers(0, cap // d + 1) for d in degrees])
+    terms = st.dictionaries(exps, coefficients, max_size=10)
+    return ring, draw(terms), draw(terms)
+
+
+@given(case=packed_cases(), scalar=rationals)
+@settings(max_examples=150, deadline=None)
+def test_packed_poly_matches_fraction_model(case, scalar):
+    ring, ta, tb = case
+    p, q = GradedPoly(ring, ta), GradedPoly(ring, tb)
+    a, b = model(ring, ta), model(ring, tb)
+    width = len(ring.names)
+    checks = [
+        (p, a),
+        (p + q, model_sum(ring, a, b)),
+        (p - q, model_sum(ring, a, {e: -c for e, c in b.items()})),
+        (-p, {e: -c for e, c in a.items()}),
+        (p * scalar, model(ring, {e: c * scalar for e, c in a.items()})),
+        (p * q, model_dot(ring, [(a, b)])),
+        (ring.dot([(p, q), (q, q), (p, p)]), model_dot(ring, [(a, b), (b, b), (a, a)])),
+    ] + [
+        (p.homogeneous_part(d), {e: c for e, c in a.items() if model_degree(ring, e) == d})
+        for d in range(ring.cap + 1)
+    ]
+    for got, expected in checks:
+        assert got.coeffs == expected
+        assert got.coeffs != bumped_model(expected, width)
+        rebuilt = GradedPoly(ring, expected)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+        assert got != GradedPoly(ring, bumped_model(expected, width))
+    # the public view lists monomials by degree, then by exponent tuple
+    assert list(p.coeffs) == sorted(a, key=lambda e: (model_degree(ring, e), e))
+    degrees = {model_degree(ring, e) for e in a}
+    assert p.max_degree() == max(degrees, default=0)
+    for d in range(ring.cap + 1):
+        assert p.is_homogeneous(d) == (degrees <= {d})
+    constant = a.get((0,) * width, Fraction(0))
+    assert p.constant_term() == constant
+    assert p.constant_term() != constant + 1
+
+
+@pytest.mark.parametrize("cap", [12, 13, 14, 15, 30, 31, 40])
+def test_product_at_the_cap_is_kept_and_one_past_it_dropped(cap):
+    # caps 14, 15, 30 and 31 fill some exponent field to its last bit, so a
+    # product one past the cap would carry into the next field if kept
+    ring = PolyRing({"u": 1, "c": 2, "x": 4}, cap=cap)
+    g = ring.gens()
+    for name, degree in ring.degrees.items():
+        top = cap // degree
+        fill = cap - top * degree
+        half = top // 2
+        left = g[name] ** half * g["u"] ** fill
+        right = g[name] ** (top - half)
+        at_cap = left * right
+        assert at_cap.max_degree() == cap
+        assert at_cap.monomial_coefficient(**{name: top, "u": fill + top * (name == "u")}) == 1
+        assert len(at_cap.coeffs) == 1
+        assert (at_cap * g["u"]).is_zero()
+        assert (left * g[name] * right).is_zero()
+        assert ring.dot([(left, right), (left * g[name], right), (left, right * g["u"])]) == at_cap
+        assert ring.dot([(left, right)]) != ring.zero()
+
+
+def test_equal_polys_built_by_different_routes_hash_equal():
+    g = MUL_RING.gens()
+    a, b, c = g["a"], g["b"], g["c"]
+    p = a * Fraction(1, 6) - b * Fraction(3, 10) + c * Fraction(-5, 14) + Fraction(7, 9)
+    q = a * a * Fraction(-2, 15) + b * c * Fraction(1, 4) + c * Fraction(5, 14) + Fraction(2, 9)
+    routes = [
+        (p + q) - q,
+        -(q - (p + q)),
+        p * Fraction(3, 7) * Fraction(7, 3),
+        (p * 2 + q * 3 - q * 3) / 2,
+        GradedPoly(MUL_RING, dict(reversed(list(p.coeffs.items())))),
+        MUL_RING.dot([(p, MUL_RING.one()), (q, a), (-q, a)]),
+    ]
+    for route in routes:
+        assert route == p and hash(route) == hash(p)
+    assert len({p, *routes}) == 1
+    assert p + q != q + p + a * Fraction(1, 1000)
+    assert ((p + q) - q - p) == MUL_RING.zero()
+    assert hash((p + q) - q - p) == hash(MUL_RING.zero())

@@ -35,6 +35,22 @@ def alt_sigma(power, n):
     return sum((-1) ** (d + 1) * d ** power for d in range(1, n + 1) if n % d == 0)
 
 
+def euler_product(order):
+    """prod_{n>=1} (1 - q^n), one factor per n."""
+    out = QExpSeries.one(RAT_RING, order)
+    for n in range(1, order + 1):
+        out = qs_mul(out, QExpSeries(RAT_RING, order, {0: Fraction(1), GRID * n: Fraction(-1)}))
+    return out
+
+
+def shifted(series):
+    """``series`` with 1 added to its highest coefficient (q^0 when zero)."""
+    terms = dict(series.terms)
+    k = max(terms, default=0)
+    terms[k] = terms.get(k, Fraction(0)) + 1
+    return QExpSeries(series.ring, series.order, terms)
+
+
 # ----------------------------------------------------------------------
 # Eisenstein series and the Euler product
 # ----------------------------------------------------------------------
@@ -57,6 +73,10 @@ def test_eisenstein_divisor_sums():
 def test_phi_euler_product():
     # pentagonal-number signs
     assert phi(10).as_q_coeffs() == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0]
+    for order in (0, 1, 5, 12, 24, 40):
+        expected = euler_product(order)
+        assert phi(order) == expected
+        assert phi(order) != shifted(expected)
 
 
 def test_phi_eighth_inverse_row():
@@ -211,6 +231,32 @@ def test_lattice_theta_matches_eighth_sum():
     assert e8_lattice_theta(5) == theta_eighth_sum(5)
     with pytest.raises(ArgumentError):
         e8_lattice_theta(13)
+
+
+def product_power8(kind, order):
+    """The product routes: theta1 as 2^8 q prod ((1-q^j)(1+q^j)^2)^8, and
+    theta2/theta3 as prod ((1-q^j)(1 -/+ q^(j-1/2))^2)^8, a factor per j."""
+    if kind == "theta1":
+        out = QExpSeries(RAT_RING, order, {GRID: Fraction(256)})
+        steps = [(GRID * j, Fraction(1)) for j in range(1, order + 1)]
+    else:
+        out = QExpSeries.one(RAT_RING, order)
+        sign = Fraction(-1) if kind == "theta2" else Fraction(1)
+        steps = [(12 * (2 * j - 1), sign) for j in range(1, order + 1)]
+    for j, (step, sign) in enumerate(steps, start=1):
+        whole = QExpSeries(RAT_RING, order, {0: Fraction(1), GRID * j: Fraction(-1)})
+        other = QExpSeries(RAT_RING, order, {0: Fraction(1), step: sign})
+        out = qs_mul(out, qs_mul(whole, qs_mul(other, other)) ** 8)
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 12, 24])
+@pytest.mark.parametrize("kind", ["theta1", "theta2", "theta3"])
+def test_eighth_power_matches_product_route(kind, order):
+    expected = product_power8(kind, order)
+    got = theta_zero_power8(kind, order)
+    assert got == expected
+    assert got != shifted(expected)
 
 
 def test_zero_value_eighth_powers_sum():
