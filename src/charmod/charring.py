@@ -74,6 +74,8 @@ class PolyRing:
 
     def __init__(self, generators, cap=12):
         self.degrees = dict(generators)
+        if not all(isinstance(d, int) and d > 0 for d in self.degrees.values()):
+            raise ValueError("generator degrees must be positive integers: %r" % (self.degrees,))
         self.names = tuple(self.degrees)
         self.cap = int(cap)
         self.key = ("graded", tuple(self.degrees.items()), self.cap)
@@ -134,7 +136,8 @@ class PolyRing:
         return _poly(self, 1, {0: 1})
 
     def constant(self, value):
-        """The constant ``value``, an int or a Fraction."""
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         return _poly(self, value.denominator, {0: value.numerator})
 
     def gen(self, name):
@@ -177,11 +180,13 @@ class GradedPoly:
     __slots__ = ("ring", "den", "nums", "_coeffs")
 
     def __init__(self, ring, coeffs):
+        """``coeffs`` maps exponent tuples, one entry per generator, to ints
+        or Fractions; zeros and monomials past the cap are dropped."""
         terms = {}
         for exps, coeff in coeffs.items():
+            if len(exps) != len(ring.names) or min(exps, default=0) < 0:
+                raise ValueError("exponents %r do not fit generators %r" % (exps, ring.names))
             if coeff != 0 and ring.monomial_degree(exps) <= ring.cap:
-                if min(exps, default=0) < 0:
-                    raise ValueError("negative exponent in %r" % (exps,))
                 terms[ring.pack(exps)] = Fraction(coeff)
         den = reduce(lcm, (c.denominator for c in terms.values()), 1)
         self.ring = ring

@@ -283,12 +283,31 @@ def test_ring_cap_truncates():
     assert not (u ** 2).is_zero()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PolyRing({"u": 0}),
+        lambda: PolyRing({"u": 4, "v": -2}),
+        lambda: PolyRing({"u": 1.5}),
+        lambda: GradedPoly(default_ring(), {(1, 0): 1}),
+        lambda: GradedPoly(default_ring(), {(1, 0, 0, 0, -1): 1}),
+    ],
+    ids=["degree-0", "negative-degree", "fractional-degree", "short-exponents", "negative-exponent"],
+)
+def test_ring_rejects_what_cannot_be_packed(make):
+    with pytest.raises(ValueError):
+        make()
+    ring = default_ring()
+    assert GradedPoly(ring, {(1, 0, 0, 0, 1): 2}) == 2 * ring.gen("p1") * ring.gen("x")
+
+
 def test_poly_inverse_and_division():
     ring = default_ring()
-    p1 = ring.gen("p1")
+    p1, c = ring.gen("p1"), ring.gen("c")
     unit = ring.one() + p1 * Fraction(1, 3)
     assert (unit * unit.inverse()) == ring.one()
     assert (p1 * p1).divide_by_gen("p1") == p1
+    assert (p1 * c ** 3 - c * Fraction(1, 5)).divide_by_gen("c") == p1 * c * c - Fraction(1, 5)
     with pytest.raises(ValueError):
         (ring.one() + p1).divide_by_gen("p1")
 
