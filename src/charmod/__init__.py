@@ -63,7 +63,6 @@ from .thetamod import (
 )
 from .anomaly import (
     CLASS_KINDS,
-    Mod2Poly,
     REGISTRY_IDS,
     UnsupportedGenerator,
     VerificationReport,

@@ -14,12 +14,12 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import GRID, QExpSeries, qs_exp, qs_mul
+from .exactmath import GRID, QExpSeries, _exp_nilpotent, qs_exp, qs_mul
 from .charring import (
     ArgumentError,
     PolyRing,
     _accumulate,
-    _exp_poly,
+    _poly,
     calibrate_e8_roots,
     ch_tangent,
     default_ring,
@@ -84,119 +84,36 @@ class VerificationReport:
 
 
 # ----------------------------------------------------------------------
-# residue-2 polynomial ring
+# residues mod 2
 # ----------------------------------------------------------------------
 
-MOD2_GENERATORS = {"w2": 2, "w4": 4, "w6": 6, "w8": 8}
-MOD2_CAP = 16
+#: Residues mod 2 are polynomials in the w-generators, truncated at degree 16.
+MOD2_RING = PolyRing({"w2": 2, "w4": 4, "w6": 6, "w8": 8}, cap=16)
 
 
-class Mod2Poly:
-    """Polynomial over Z/2 in the w-generators: a set of surviving monomials."""
-
-    __slots__ = ("monomials",)
-
-    NAMES = tuple(MOD2_GENERATORS)
-    DEGREES = tuple(MOD2_GENERATORS.values())
-
-    def __init__(self, monomials=()):
-        keep = set()
-        for exps in monomials:
-            exps = tuple(int(e) for e in exps)
-            if sum(e * d for e, d in zip(exps, self.DEGREES)) > MOD2_CAP:
-                continue
-            if exps in keep:
-                keep.discard(exps)  # 1 + 1 = 0
-            else:
-                keep.add(exps)
-        self.monomials = frozenset(keep)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0, 0, 0)})
-
-    @classmethod
-    def gen(cls, name):
-        exps = [0, 0, 0, 0]
-        exps[cls.NAMES.index(name)] = 1
-        return cls({tuple(exps)})
-
-    def __add__(self, other):
-        return Mod2Poly(self.monomials ^ other.monomials)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        acc = set()
-        for e1 in self.monomials:
-            for e2 in other.monomials:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(v * d for v, d in zip(e, self.DEGREES)) > MOD2_CAP:
-                    continue
-                if e in acc:
-                    acc.discard(e)
-                else:
-                    acc.add(e)
-        return Mod2Poly(acc)
-
-    def __pow__(self, exponent):
-        out = Mod2Poly.one()
-        for _ in range(int(exponent)):
-            out = out * self
-        return out
-
-    def is_zero(self):
-        return not self.monomials
-
-    def __eq__(self, other):
-        return isinstance(other, Mod2Poly) and other.monomials == self.monomials
-
-    def __hash__(self):
-        return hash(self.monomials)
-
-    def __str__(self):
-        if not self.monomials:
-            return "0"
-        def degree(exps):
-            return sum(v * d for v, d in zip(exps, self.DEGREES))
-        pieces = []
-        for exps in sorted(self.monomials, key=lambda e: (degree(e), e)):
-            factors = [
-                name if e == 1 else "%s^%d" % (name, e)
-                for name, e in zip(self.NAMES, exps)
-                if e
-            ]
-            pieces.append("*".join(factors) if factors else "1")
-        return " + ".join(pieces)
-
-    __repr__ = __str__
+def _substitute(poly, images, target):
+    """``poly.substitute(images, target)``, raising UnsupportedGenerator for
+    a generator with no image."""
+    try:
+        return poly.substitute(images, target)
+    except ValueError as exc:
+        raise UnsupportedGenerator(str(exc)) from None
 
 
 def mod2_reduce(poly, images):
     """Reduce an integer-coefficient polynomial mod 2 under generator images.
 
-    ``images`` maps every generator appearing in ``poly`` to a Mod2Poly.
+    ``images`` maps every generator appearing in ``poly`` to an element of
+    MOD2_RING with integer coefficients.  Reduction mod 2 is a ring map, so
+    it is applied once, to the numerators of the substituted polynomial.
     Fractional coefficients are rejected.
     """
-    out = Mod2Poly.zero()
-    for exps, coeff in poly.coeffs.items():
-        if coeff.denominator != 1:
-            raise ValueError("coefficient %s is not an integer" % coeff)
-        if coeff.numerator % 2 == 0:
-            continue
-        term = Mod2Poly.one()
-        for name, e in zip(poly.ring.names, exps):
-            if not e:
-                continue
-            if name not in images:
-                raise UnsupportedGenerator("no residue image for %r" % name)
-            term = term * images[name] ** e
-        out = out + term
-    return out
+    if poly.den != 1:
+        raise ValueError("%s has a non-integer coefficient" % poly)
+    image = _substitute(poly, images, MOD2_RING)
+    if image.den != 1:
+        raise ValueError("residue images must have integer coefficients")
+    return _poly(MOD2_RING, 1, {k: n % 2 for k, n in image.nums.items()})
 
 
 # ----------------------------------------------------------------------
@@ -221,13 +138,13 @@ def _tangent(ring):
 
 @lru_cache(maxsize=None)
 def _exp_half_c(ring):
-    return _exp_poly(ring.gen("c") * Fraction(1, 2))
+    return _exp_nilpotent(ring.gen("c") * Fraction(1, 2))
 
 
 @lru_cache(maxsize=None)
 def _cosh_half_c(ring):
-    c = ring.gen("c")
-    return (_exp_poly(c * Fraction(1, 2)) + _exp_poly(c * Fraction(-1, 2))) * Fraction(1, 2)
+    half_c = ring.gen("c") * Fraction(1, 2)
+    return (_exp_nilpotent(half_c) + _exp_nilpotent(-half_c)) * Fraction(1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +363,7 @@ def exp_minus_one_over(k_poly):
 
 
 DEG8_SETTINGS = {
-    # id: (K kind, bundle key, uses exp(c/2), expected-RHS builder key)
+    # id: (K kind, bundle key, uses exp(c/2))
     "deg8_spinc_q": ("Qc", "frakA", True),
     "deg8_spinc_r": ("Rc", "frakB", True),
     "deg8_orient_q": ("QL", "frakC", False),
@@ -464,7 +381,7 @@ def deg8_display_sides(reg_id, ring):
     else:
         weight_class = _lhat(ring)
     u = exp_minus_one_over(K)
-    exp_k = _exp_poly(K * Fraction(1, 24))
+    exp_k = _exp_nilpotent(K * Fraction(1, 24))
     brace = -(u * weight_class * bundle.ch) + exp_k * weight_class
     lhs = brace.homogeneous_part(8)
 
@@ -507,20 +424,13 @@ def restrict_to_u(poly, target=None):
         "c": g["e"],
         "x": g["tx"],
     }
-    for exps in poly.coeffs:
-        for name, e in zip(poly.ring.names, exps):
-            if e and name not in images:
-                raise UnsupportedGenerator("generator %r has no boundary image" % name)
-    try:
-        return poly.substitute(images, target)
-    except ValueError as exc:
-        raise UnsupportedGenerator(str(exc))
+    return _substitute(poly, images, target)
 
 
 DIFFER_SETTINGS = {
-    # id: (main-variant C key, tilde shift uses x not 2x)
-    "differ1": ("C", "C_c"),
-    "differ2": ("Ct", "Ct_c"),
+    # id: key of the untwisted C-symbol in derived_classes
+    "differ1": "C",
+    "differ2": "Ct",
 }
 
 
@@ -584,7 +494,7 @@ def verify_differ(which, cap=12):
     residuals of the two alternate symbol readings as findings."""
     if which not in DIFFER_SETTINGS:
         raise ValueError("unknown comparison %r" % (which,))
-    c_key = DIFFER_SETTINGS[which][0]
+    c_key = DIFFER_SETTINGS[which]
     ring = default_ring(cap)
     g = ring.gens()
     p1, p2, c = g["p1"], g["p2"], g["c"]
@@ -635,34 +545,6 @@ def verify_differ(which, cap=12):
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
-
-REGISTRY_IDS = (
-    "wfh_main",
-    "spin_new",
-    "spinc_main",
-    "spinc_new",
-    "o1",
-    "o2",
-    "fact_spinc_q",
-    "fact_spinc_r",
-    "fact_orient_q",
-    "fact_orient_r",
-    "deg8_spinc_q",
-    "deg8_spinc_r",
-    "deg8_orient_q",
-    "deg8_orient_r",
-    "bundle_xi_plus",
-    "bundle_xi_minus",
-    "sqrt_relation",
-    "b1_check",
-    "d1_check",
-    "pc_theorem",
-    "mod2_orientable",
-    "differ1",
-    "differ2",
-)
-
-THEOREM_IDS = REGISTRY_IDS[:6]
 
 _FACT_SETTINGS = {
     "fact_spinc_q": ("Qc", 14),
@@ -776,7 +658,7 @@ def _check_bundle(reg_id, order, cap):
     return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
 
 
-def _check_sqrt(order, cap):
+def _check_sqrt(reg_id, order, cap):
     ring = default_ring(cap)
     r_c = build_twisted_class("Rc", order, ring)
     q_c = build_twisted_class("Qc", order, ring)
@@ -802,7 +684,20 @@ def _check_q1_bundle(reg_id, order, cap):
     return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
 
 
-def _check_pc(order, cap):
+def _compare_residues(cases, images, problems):
+    """Reduce each ``(label, poly, expected)`` case mod 2 under ``images``,
+    append a problem for each residue that differs from ``expected``, and
+    return the residues as report data."""
+    data = {}
+    for label, poly, expected in cases:
+        got = mod2_reduce(poly, images)
+        data["mod2_" + label] = str(got)
+        if got != expected:
+            problems.append("mod-2 residue of %s is %s, expected %s" % (label, got, expected))
+    return data
+
+
+def _check_pc(reg_id, order, cap):
     q_ring = PolyRing({"q1": 4, "q2": 8, "c": 2}, cap=8)
     g = q_ring.gens()
     q1, q2, c = g["q1"], g["q2"], g["c"]
@@ -825,39 +720,31 @@ def _check_pc(order, cap):
             "shifted form disagrees: %s" % (ptc_q - (pc_q - 3 * lam_c_q * lam_c_q))
         )
 
-    w2, w4, w8 = Mod2Poly.gen("w2"), Mod2Poly.gen("w4"), Mod2Poly.gen("w8")
+    w = MOD2_RING.gens()
+    w2, w4, w8 = w["w2"], w["w4"], w["w8"]
     images = {"q1": w4, "q2": w8, "c": w2}
     residues = (
         ("p_c", pc_q, w8),
         ("pt_c", ptc_q, w8 + w4 * w4 + w2 ** 4),
         ("lam_c", lam_c_q, w4 + w2 * w2),
     )
-    data = {}
-    for label, poly, expected in residues:
-        got = mod2_reduce(poly, images)
-        data["mod2_" + label] = str(got)
-        if got != expected:
-            problems.append("mod-2 residue of %s is %s, expected %s" % (label, got, expected))
+    data = _compare_residues(residues, images, problems)
     return "; ".join(problems), [], [], data
 
 
-def _check_mod2_orientable(order, cap):
+def _check_mod2_orientable(reg_id, order, cap):
     p_ring = PolyRing({"p1": 4, "p2": 8}, cap=16)
     g = p_ring.gens()
     p1, p2 = g["p1"], g["p2"]
-    w2, w4 = Mod2Poly.gen("w2"), Mod2Poly.gen("w4")
+    w = MOD2_RING.gens()
+    w2, w4 = w["w2"], w["w4"]
     images = {"p1": w2 * w2, "p2": w4 * w4}
     checks = (
         ("4p1^2-7p2", 4 * p1 * p1 - 7 * p2, w4 * w4),
         ("p1^2-7p2", p1 * p1 - 7 * p2, w2 ** 4 + w4 * w4),
     )
     problems = []
-    data = {}
-    for label, poly, expected in checks:
-        got = mod2_reduce(poly, images)
-        data["mod2_" + label] = str(got)
-        if got != expected:
-            problems.append("mod-2 residue of %s is %s, expected %s" % (label, got, expected))
+    data = _compare_residues(checks, images, problems)
     assumptions = [
         "integral degree-4k classes reduce mod 2 to squares of the degree-2k "
         "w-generators (taken as input, not derived here)"
@@ -868,6 +755,39 @@ def _check_mod2_orientable(order, cap):
 def _check_differ(reg_id, order, cap):
     witness, findings, data = verify_differ(reg_id, cap=cap)
     return witness, findings, [], data
+
+
+#: Every registry id, in report order, with its check.  A check takes
+#: ``(reg_id, order, cap)`` and returns ``(witness, findings, assumptions,
+#: data)``; it reaches the side builders through this module's globals.
+_CHECKS = {
+    "wfh_main": _check_theorem,
+    "spin_new": _check_theorem,
+    "spinc_main": _check_theorem,
+    "spinc_new": _check_theorem,
+    "o1": _check_theorem,
+    "o2": _check_theorem,
+    "fact_spinc_q": _check_fact,
+    "fact_spinc_r": _check_fact,
+    "fact_orient_q": _check_fact,
+    "fact_orient_r": _check_fact,
+    "deg8_spinc_q": _check_deg8,
+    "deg8_spinc_r": _check_deg8,
+    "deg8_orient_q": _check_deg8,
+    "deg8_orient_r": _check_deg8,
+    "bundle_xi_plus": _check_bundle,
+    "bundle_xi_minus": _check_bundle,
+    "sqrt_relation": _check_sqrt,
+    "b1_check": _check_q1_bundle,
+    "d1_check": _check_q1_bundle,
+    "pc_theorem": _check_pc,
+    "mod2_orientable": _check_mod2_orientable,
+    "differ1": _check_differ,
+    "differ2": _check_differ,
+}
+
+REGISTRY_IDS = tuple(_CHECKS)
+THEOREM_IDS = REGISTRY_IDS[:6]
 
 
 def verify_identity(reg_id, order=6, cap=12):
@@ -884,24 +804,7 @@ def verify_identity(reg_id, order=6, cap=12):
     if order < 1:
         raise ArgumentError("order must be at least 1 to match q^1 in the fact checks, got %d" % order)
     started = time.perf_counter()
-    if reg_id in THEOREM_IDS:
-        witness, findings, assumptions, data = _check_theorem(reg_id, order, cap)
-    elif reg_id in _FACT_SETTINGS:
-        witness, findings, assumptions, data = _check_fact(reg_id, order, cap)
-    elif reg_id in DEG8_SETTINGS:
-        witness, findings, assumptions, data = _check_deg8(reg_id, order, cap)
-    elif reg_id in ("bundle_xi_plus", "bundle_xi_minus"):
-        witness, findings, assumptions, data = _check_bundle(reg_id, order, cap)
-    elif reg_id == "sqrt_relation":
-        witness, findings, assumptions, data = _check_sqrt(order, cap)
-    elif reg_id in ("b1_check", "d1_check"):
-        witness, findings, assumptions, data = _check_q1_bundle(reg_id, order, cap)
-    elif reg_id == "pc_theorem":
-        witness, findings, assumptions, data = _check_pc(order, cap)
-    elif reg_id == "mod2_orientable":
-        witness, findings, assumptions, data = _check_mod2_orientable(order, cap)
-    else:
-        witness, findings, assumptions, data = _check_differ(reg_id, order, cap)
+    witness, findings, assumptions, data = _CHECKS[reg_id](reg_id, order, cap)
     millis = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         id=reg_id,

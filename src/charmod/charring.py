@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .exactmath import GRID, NotInvertible, QExpSeries, qs_exp
+from .exactmath import GRID, NotInvertible, QExpSeries, _exp_nilpotent, qs_exp
 
 
 class DegreeError(ValueError):
@@ -448,19 +448,6 @@ _ROOT_LOG_COEFFS = {
 _ROOT_CONSTANT = {"Ahat": Fraction(1), "Lhat": Fraction(2)}
 
 
-def _exp_poly(poly):
-    """exp of a graded polynomial with zero constant term (finite sum)."""
-    acc = poly.ring.one()
-    term = poly.ring.one()
-    k = 1
-    while True:
-        term = term * poly * Fraction(1, k)
-        if term.is_zero():
-            return acc
-        acc = acc + term
-        k += 1
-
-
 def log_series_in_power_sums(log_coeffs, power_sums):
     """sum over roots of log f(x_j) written in power sums of squared roots.
 
@@ -497,7 +484,7 @@ def multiplicative_class(kind, dim, ring, pontryagin_names=("p1", "p2", "p3")):
     count = min(3, len(available), max(1, ring.cap // 4))
     sums = power_sums_from_pontryagin(available, count)
     log_part = log_series_in_power_sums(_ROOT_LOG_COEFFS[kind], sums)
-    value = _exp_poly(log_part)
+    value = _exp_nilpotent(log_part)
     constant = _ROOT_CONSTANT[kind] ** (dim // 2)
     return value * constant
 
@@ -605,7 +592,7 @@ def line_pair_ch(c):
     """Rank-2 bundle exp(c) + exp(-c) for a degree-2 class c."""
     if not c.is_homogeneous(2):
         raise DegreeError("c must be homogeneous of degree 2")
-    ch = _exp_poly(c) + _exp_poly(-c)
+    ch = _exp_nilpotent(c) + _exp_nilpotent(-c)
     return VirtualBundle(ch)
 
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .anomaly import CLASS_KINDS, REGISTRY_IDS, build_twisted_class, run_registry
@@ -45,21 +44,9 @@ EXIT_PRECISION = 4
 EXPANDABLE = ("Ahat", "Lhat") + CLASS_KINDS
 
 
-@dataclass
-class CliConfig:
-    """Resolved options shared by the subcommands."""
-
-    subcommand: str
-    order: int = 6
-    cap: int = 12
-    format: str = "text"
-    output: str = None
-    tol: float = 1e-8
-
-
-def _emit(text, config):
-    if config.output:
-        with open(config.output, "w") as handle:
+def _emit(text, args):
+    if args.output:
+        with open(args.output, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -76,13 +63,13 @@ class UsageError(Exception):
     pass
 
 
-def _cmd_verify(args, config):
-    if config.cap < 12:
+def _cmd_verify(args):
+    if args.cap < 12:
         raise UsageError("--cap must be at least 12 to hold the degree-12 parts, got %d"
-                         % config.cap)
-    if config.order < 1:
+                         % args.cap)
+    if args.order < 1:
         raise UsageError("--order must be at least 1 to match q^1 in the fact checks, got %d"
-                         % config.order)
+                         % args.order)
     ids = args.id or ["all"]
     if "all" in ids:
         ids = list(REGISTRY_IDS)
@@ -91,9 +78,9 @@ def _cmd_verify(args, config):
             raise UsageError(
                 "unknown id %r (known: %s, or 'all')" % (reg_id, ", ".join(REGISTRY_IDS))
             )
-    reports = run_registry(ids, order=config.order, cap=config.cap)
-    if config.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2), config)
+    reports = run_registry(ids, order=args.order, cap=args.cap)
+    if args.format == "json":
+        _emit(json.dumps([r.to_dict() for r in reports], indent=2), args)
     else:
         lines = []
         for r in reports:
@@ -108,7 +95,7 @@ def _cmd_verify(args, config):
         lines.append(
             "%d/%d pass" % (sum(1 for r in reports if r.passed), len(reports))
         )
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
@@ -121,20 +108,20 @@ def _series_lines(series):
     return lines
 
 
-def _cmd_expand(args, config):
-    if config.order < 0:
-        raise UsageError("--order must be at least 0, got %d" % config.order)
+def _cmd_expand(args):
+    if args.order < 0:
+        raise UsageError("--order must be at least 0, got %d" % args.order)
     name = args.class_name
     if name in ("Ahat", "Lhat"):
-        poly = multiplicative_class(name, 12, default_ring(config.cap))
-        _emit(str(poly), config)
+        poly = multiplicative_class(name, 12, default_ring(args.cap))
+        _emit(str(poly), args)
         return EXIT_PASS
-    series = build_twisted_class(name, config.order, default_ring(config.cap))
-    _emit("\n".join(_series_lines(series)), config)
+    series = build_twisted_class(name, args.order, default_ring(args.cap))
+    _emit("\n".join(_series_lines(series)), args)
     return EXIT_PASS
 
 
-def _cmd_lattice(args, config):
+def _cmd_lattice(args):
     try:
         data = load_lattice_json(args.file)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
@@ -163,8 +150,8 @@ def _cmd_lattice(args, config):
         passed = False
     report["passed"] = passed
 
-    if config.format == "json":
-        _emit(json.dumps(report, indent=2), config)
+    if args.format == "json":
+        _emit(json.dumps(report, indent=2), args)
     else:
         lines = ["file: %s (rank %d, modulus %d)" % (args.file, lattice.rank, modulus)]
         lines.append("characteristic: %s" % report["characteristic"])
@@ -181,12 +168,12 @@ def _cmd_lattice(args, config):
         for note in caught:
             lines.append("warning: %s" % note)
         lines.append("passed: %s" % passed)
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def _cmd_e8(args, config):
-    order = config.order
+def _cmd_e8(args):
+    order = args.order
     if not 0 <= order <= 12:
         raise UsageError("--order must be between 0 and 12 for the lattice count, got %d"
                          % order)
@@ -206,22 +193,22 @@ def _cmd_e8(args, config):
         "character:        %s" % char_coeffs,
         "equal: %s" % ("true" if equal else "false"),
     ]
-    _emit("\n".join(lines), config)
+    _emit("\n".join(lines), args)
     return EXIT_PASS if equal else EXIT_FAIL
 
 
-def _cmd_theta_check(args, config):
+def _cmd_theta_check(args):
     tau = _parse_complex(args.tau, "--tau")
     v = _parse_complex(args.v, "--v")
     try:
         result = numeric_transform_check(
-            args.kind, v, tau, terms=args.terms, tol=config.tol
+            args.kind, v, tau, terms=args.terms, tol=args.tol
         )
     except ArgumentError as exc:
         raise UsageError(str(exc))
-    if config.format == "json":
+    if args.format == "json":
         payload = dict(result, tau=str(result["tau"]), v=str(result["v"]))
-        _emit(json.dumps(payload, indent=2), config)
+        _emit(json.dumps(payload, indent=2), args)
     else:
         lines = [
             "kind: %s  tau: %s  v: %s" % (result["kind"], result["tau"], result["v"]),
@@ -230,7 +217,7 @@ def _cmd_theta_check(args, config):
             "tail bound:         %.3e" % result["tail_bound"],
             "passed: %s" % result["passed"],
         ]
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return EXIT_PASS if result["passed"] else EXIT_FAIL
 
 
@@ -281,14 +268,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(
-        subcommand=args.subcommand,
-        order=getattr(args, "order", 6),
-        cap=getattr(args, "cap", 12),
-        format=getattr(args, "format", "text"),
-        output=getattr(args, "output", None),
-        tol=getattr(args, "tol", 1e-8),
-    )
     commands = {
         "verify": _cmd_verify,
         "expand": _cmd_expand,
@@ -297,7 +276,7 @@ def main(argv=None):
         "theta-check": _cmd_theta_check,
     }
     try:
-        return commands[args.subcommand](args, config)
+        return commands[args.subcommand](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -147,9 +147,6 @@ class QExpSeries:
     def is_zero(self):
         return not self.terms
 
-    def min_grid_exponent(self):
-        return min(self.terms) if self.terms else None
-
     def has_whole_support(self):
         return all(k % GRID == 0 for k in self.terms)
 
@@ -305,15 +302,14 @@ def qs_inv(a):
     return QExpSeries.from_q_coeffs(a.ring, a.order, out)
 
 
-def _exp_nilpotent(ring, element):
-    """exp of a nilpotent ring element as a finite sum."""
-    acc = ring.one()
-    term = ring.one()
+def _exp_nilpotent(element):
+    """exp of a nilpotent ring element, such as a `GradedPoly` with zero
+    constant term, as a finite sum."""
+    acc = term = element.ring.one()
     k = 1
-    zero = ring.zero()
     while True:
         term = term * element * Fraction(1, k)
-        if term == zero:
+        if term.is_zero():
             return acc
         acc = acc + term
         k += 1
@@ -349,16 +345,12 @@ def qs_exp(a):
 
     on the 1/24 grid (the 1/24 of each exponent cancels), which costs
     O(N^2) coefficient products.  exp(s0) is a finite sum because s0 is
-    nilpotent, and multiplies the whole series.
+    nilpotent, and multiplies the whole series when s0 is not 0.
     """
     ring = a.ring
-    s0 = a.terms.get(0, ring.zero())
-    if _coeff_constant_term(s0) != 0:
+    s0 = a.terms.get(0)
+    if s0 is not None and _coeff_constant_term(s0) != 0:
         raise NotExponentiable("q^0 coefficient must have zero constant part")
-    if isinstance(s0, (Fraction, int)):
-        head = ring.one()  # s0 == 0 in the scalar case
-    else:
-        head = _exp_nilpotent(ring, s0)
 
     zero = ring.zero()
     dot = ring.dot
@@ -376,7 +368,8 @@ def qs_exp(a):
             acc = dot(pairs) * Fraction(1, k)
             if acc != zero:
                 out[k] = acc
-    return QExpSeries(ring, a.order, out).scale(head)
+    out = QExpSeries(ring, a.order, out)
+    return out if s0 is None else out.scale(_exp_nilpotent(s0))
 
 
 def qs_log(a):

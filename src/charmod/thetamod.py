@@ -217,8 +217,7 @@ def e8_character(g, order):
                 "fractional exponent q^(%d/%d) survived the theta sum" % (grid_key, GRID)
             )
 
-    phi8 = series_in_ring(phi(order) ** 8, ring)
-    return qs_mul(acc, qs_inv(phi8))
+    return qs_mul(acc, series_in_ring(qs_inv(phi(order) ** 8), ring))
 
 
 def e8_lattice_theta(order):

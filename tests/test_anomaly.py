@@ -10,9 +10,9 @@ from charmod import anomaly
 from charmod.anomaly import (
     CLASS_KINDS,
     DEG8_SETTINGS,
+    MOD2_RING,
     REGISTRY_IDS,
     THEOREM_IDS,
-    Mod2Poly,
     UnsupportedGenerator,
     VerificationReport,
     boundary_ring,
@@ -297,25 +297,37 @@ def test_display_bundle_ranks_and_identities():
 # ----------------------------------------------------------------------
 
 
-def test_mod2_poly_algebra():
-    one = Mod2Poly.one()
-    w2 = Mod2Poly.gen("w2")
-    w4 = Mod2Poly.gen("w4")
-    assert (one + one).is_zero()
-    assert w2 + w4 == w4 + w2
-    assert (w2 + w4) * (w2 + w4) == w2 * w2 + w4 * w4
-    assert w2 ** 3 == w2 * w2 * w2
-    # degree cap: 2*9 = 18 > 16 truncates to zero
-    assert (w2 ** 9).is_zero()
-    assert str(Mod2Poly.zero()) == "0"
-    assert str(w4 * w4 + w2 ** 4) == "w4^2 + w2^4"
+def test_mod2_reduce_algebra():
+    ring = PolyRing({"a": 2, "b": 4}, cap=18)
+    g = ring.gens()
+    a, b = g["a"], g["b"]
+    w = MOD2_RING.gens()
+    w2, w4 = w["w2"], w["w4"]
+    images = {"a": w2, "b": w4}
+    # 1 + 1 = 0
+    assert mod2_reduce(ring.one() + ring.one(), images).is_zero()
+    assert mod2_reduce(a + a, images).is_zero()
+    assert mod2_reduce(a + b, images) == mod2_reduce(b + a, images) == w2 + w4
+    # (a + b)^2 = a^2 + b^2 mod 2
+    assert mod2_reduce((a + b) ** 2, images) == mod2_reduce(a * a + b * b, images)
+    assert mod2_reduce((a + b) ** 2, images) == w2 * w2 + w4 * w4
+    assert mod2_reduce(a ** 3, images) == w2 * w2 * w2
+    # degree cap 16: w2^8 survives, w2^9 (degree 18) truncates to zero
+    assert mod2_reduce(a ** 8, images) == w2 ** 8
+    assert mod2_reduce(a ** 9, images).is_zero()
+    # a fraction is rejected even where the cap drops its image
+    with pytest.raises(ValueError):
+        mod2_reduce(a ** 9 / 2, images)
+    assert str(mod2_reduce(ring.zero(), images)) == "0"
+    assert str(mod2_reduce(b * b + a ** 4, images)) == "w4^2 + w2^4"
 
 
 def test_mod2_reduce():
     ring = PolyRing({"a": 4, "b": 8}, cap=16)
     g = ring.gens()
     a, b = g["a"], g["b"]
-    w4, w8 = Mod2Poly.gen("w4"), Mod2Poly.gen("w8")
+    w = MOD2_RING.gens()
+    w4, w8 = w["w4"], w["w8"]
     images = {"a": w4, "b": w8}
     assert mod2_reduce(3 * a * a + 2 * b + b, images) == w4 * w4 + w8
     assert mod2_reduce(4 * a, images).is_zero()
@@ -323,24 +335,33 @@ def test_mod2_reduce():
         mod2_reduce(a * Fraction(1, 2), images)
     with pytest.raises(UnsupportedGenerator):
         mod2_reduce(a + b, {"a": w4})
+    with pytest.raises(ValueError):
+        mod2_reduce(a, {"a": w4 / 2})
 
 
 def test_pc_report_data():
     report = verify_identity("pc_theorem")
     assert report.passed
-    w2, w4, w8 = Mod2Poly.gen("w2"), Mod2Poly.gen("w4"), Mod2Poly.gen("w8")
-    assert report.data["mod2_p_c"] == str(w8)
-    assert report.data["mod2_pt_c"] == str(w8 + w4 * w4 + w2 ** 4)
-    assert report.data["mod2_lam_c"] == str(w4 + w2 * w2)
+    assert report.data["mod2_p_c"] == "w8"
+    assert report.data["mod2_pt_c"] == "w8 + w4^2 + w2^4"
+    assert report.data["mod2_lam_c"] == "w4 + w2^2"
 
 
 def test_orientable_report_records_assumption():
     report = verify_identity("mod2_orientable")
     assert report.passed
     assert len(report.assumptions) == 1
-    w2, w4 = Mod2Poly.gen("w2"), Mod2Poly.gen("w4")
-    assert report.data["mod2_4p1^2-7p2"] == str(w4 * w4)
-    assert report.data["mod2_p1^2-7p2"] == str(w4 * w4 + w2 ** 4)
+    assert report.data["mod2_4p1^2-7p2"] == "w4^2"
+    assert report.data["mod2_p1^2-7p2"] == "w4^2 + w2^4"
+
+
+@pytest.mark.parametrize("reg_id", ["pc_theorem", "mod2_orientable"])
+def test_residue_check_fails_when_residues_are_zero(monkeypatch, reg_id):
+    assert verify_identity(reg_id).passed
+    monkeypatch.setattr(anomaly, "mod2_reduce", lambda poly, images: 0)
+    report = verify_identity(reg_id)
+    assert report.status == "fail"
+    assert "mod-2 residue" in report.witness
 
 
 # ----------------------------------------------------------------------

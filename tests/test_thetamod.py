@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from charmod.charring import ArgumentError, PolyRing, _exp_poly, default_ring
-from charmod.exactmath import GRID, RAT_RING, QExpSeries, qs_inv, qs_log, qs_mul
+from charmod.charring import ArgumentError, PolyRing, default_ring
+from charmod.exactmath import (
+    GRID,
+    RAT_RING,
+    QExpSeries,
+    _exp_nilpotent,
+    qs_inv,
+    qs_log,
+    qs_mul,
+)
 from charmod.thetamod import (
     THETA_KINDS,
     NotProportional,
@@ -134,14 +142,14 @@ def product_ratio(kind, order):
     prefactor_log = ring.zero()
     for y_power, coeff in PRODUCT_PREFACTOR_LOG.get(kind, {}).items():
         prefactor_log = prefactor_log + ring.term(coeff, y=y_power)
-    out = out.scale(_exp_poly(prefactor_log))
+    out = out.scale(_exp_nilpotent(prefactor_log))
 
     if kind in ("theta", "theta1"):
         bases = [GRID * j for j in range(1, order + 1)]
     else:
         bases = [12 * (2 * j - 1) for j in range(1, order + 1)]
     sign = -1 if kind in ("theta", "theta2") else 1
-    exp_plus, exp_minus = _exp_poly(y), _exp_poly(-y)
+    exp_plus, exp_minus = _exp_nilpotent(y), _exp_nilpotent(-y)
     for base in bases:
         if kind == "theta":
             numer = QExpSeries(ring, order, {0: ring.one(), base: ring.constant(-2),
