@@ -4,7 +4,7 @@ identities in dimensions ten and twelve.
 Subpackages:
 
 - ``exactmath``    exact q-series arithmetic
-- ``charring``     graded rings, virtual bundles, twist-bundle expansions
+- ``charring``     graded rings, bundle characters, twist-bundle expansions
 - ``thetamod``     modular q-series, theta ratios, numeric transformation laws
 - ``anomaly``      the identity registry and its verification engine
 - ``cubiclattice`` integral trilinear forms and their cubic refinements
@@ -33,7 +33,6 @@ from .charring import (
     ParityError,
     PolyRing,
     SpecError,
-    VirtualBundle,
     calibrate_e8_roots,
     ch_tangent,
     default_ring,
@@ -41,7 +40,6 @@ from .charring import (
     line_pair_ch,
     multiplicative_class,
     power_sums_from_pontryagin,
-    trivial_bundle,
     vb_adams,
     vb_lambda2_sym2,
     witten_character,

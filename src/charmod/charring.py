@@ -1,10 +1,12 @@
 """Characteristic-class calculus over graded polynomial rings.
 
 Provides exact polynomial rings with graded generators and a total-degree
-cap, virtual bundles tracked by their total Chern character, multiplicative
-classes built from even root functions, Adams operations, the exterior/
-symmetric square splitting, q-expansions of the standard twist bundles, and
-calibration of the degree-4/8/12 root data of the rank-248 bundle.
+cap, multiplicative classes built from even root functions, and the
+characters of virtual bundles: a bundle is its total Chern character, a
+polynomial in the ring, so Adams operations, the exterior/symmetric square
+splitting and the q-expansions of the standard twist bundles all take and
+return characters.  Also calibrates the degree-4/8/12 root data of the
+rank-248 bundle.
 """
 
 from __future__ import annotations
@@ -150,12 +152,6 @@ class PolyRing:
     def gens(self):
         return {name: self.gen(name) for name in self.names}
 
-    def term(self, coeff, **exponents):
-        exps = [0] * len(self.names)
-        for name, e in exponents.items():
-            exps[self._index[name]] = int(e)
-        return GradedPoly(self, {tuple(exps): Fraction(coeff)})
-
     def __eq__(self, other):
         return isinstance(other, PolyRing) and other.key == self.key
 
@@ -286,9 +282,6 @@ class GradedPoly:
         shift = self.ring._shift
         return _poly(self.ring, self.den, {k: n for k, n in self.nums.items() if k >> shift == degree})
 
-    def max_degree(self):
-        return next(reversed(self.nums), 0) >> self.ring._shift
-
     def is_homogeneous(self, degree):
         shift = self.ring._shift
         return all(k >> shift == degree for k in self.nums)
@@ -333,26 +326,24 @@ class GradedPoly:
         """Evaluate under generator images living in ``target_ring``.
 
         ``mapping`` must cover every generator that appears with a nonzero
-        exponent; missing ones raise ValueError naming the generator.
+        exponent; missing ones raise ValueError naming the generator.  The
+        image is one ``target_ring.dot`` over (numerator, image monomial)
+        pairs, divided by ``den``.
         """
-        # cache powers of each image
         powers = {}
-
-        def image_power(name, k):
-            if name not in mapping:
-                raise ValueError("no image for generator %r" % name)
-            if (name, k) not in powers:
-                powers[(name, k)] = mapping[name] ** k
-            return powers[(name, k)]
-
-        out = target_ring.zero()
-        for exps, coeff in self.coeffs.items():
-            term = target_ring.constant(coeff)
-            for name, e in zip(self.ring.names, exps):
-                if e:
-                    term = term * image_power(name, e)
-            out = out + term
-        return out
+        pairs = []
+        for key, n in self.nums.items():
+            monomial = target_ring.one()
+            for name, e in zip(self.ring.names, self.ring.unpack(key)):
+                if not e:
+                    continue
+                if (name, e) not in powers:
+                    if name not in mapping:
+                        raise ValueError("no image for generator %r" % name)
+                    powers[(name, e)] = mapping[name] ** e
+                monomial = monomial * powers[(name, e)]
+            pairs.append((target_ring.constant(n), monomial))
+        return target_ring.dot(pairs) * Fraction(1, self.den)
 
     # -- rendering --------------------------------------------------------
 
@@ -490,78 +481,13 @@ def multiplicative_class(kind, dim, ring, pontryagin_names=("p1", "p2", "p3")):
 
 
 # ----------------------------------------------------------------------
-# virtual bundles
+# bundle characters
 # ----------------------------------------------------------------------
-
-
-class VirtualBundle:
-    """Virtual bundle recorded by its total Chern character.
-
-    The degree-0 part of ``ch`` is the (virtual, rational) rank; sums are
-    componentwise and the tensor product multiplies characters.
-    """
-
-    __slots__ = ("ch",)
-
-    def __init__(self, ch):
-        self.ch = ch
-
-    @property
-    def rank(self):
-        return self.ch.constant_term()
-
-    @property
-    def ring(self):
-        return self.ch.ring
-
-    def ch_component(self, degree):
-        return self.ch.homogeneous_part(degree)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return VirtualBundle(self.ch + other.ch)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return VirtualBundle(self.ch - other.ch)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return VirtualBundle(other.ch - self.ch)
-
-    def __neg__(self):
-        return VirtualBundle(-self.ch)
-
-    def __mul__(self, other):
-        """Tensor product (or integer multiple for int operands)."""
-        if isinstance(other, int):
-            return VirtualBundle(self.ch * other)
-        other = self._coerce(other)
-        return VirtualBundle(self.ch * other.ch)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, VirtualBundle):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return VirtualBundle(self.ring.constant(other))
-        raise TypeError("cannot combine VirtualBundle with %r" % type(other))
-
-    def __eq__(self, other):
-        return isinstance(other, VirtualBundle) and other.ch == self.ch
-
-    def __hash__(self):
-        return hash(("vb", self.ch))
-
-    def __repr__(self):
-        return "VirtualBundle(rank=%s, ch=%s)" % (self.rank, self.ch)
-
-
-def trivial_bundle(ring, rank):
-    return VirtualBundle(ring.constant(rank))
+#
+# A virtual bundle is its total Chern character: a GradedPoly whose constant
+# term is the (rational) rank.  ch is a ring map, so bundle sums and tensor
+# products are sums and products of characters, and an integer n stands for
+# the trivial bundle of rank n.
 
 
 def ch_tangent(dim, ring, pontryagin_names=("p1", "p2", "p3")):
@@ -576,47 +502,40 @@ def ch_tangent(dim, ring, pontryagin_names=("p1", "p2", "p3")):
         ch = ch + sums[1] * Fraction(1, 12)
     if count >= 3:
         ch = ch + sums[2] * Fraction(1, 360)
-    return VirtualBundle(ch)
+    return ch
 
 
 def e8_ch(x):
-    """Rank-248 bundle with ch = 248 - 60 x + 6 x^2 - x^3/3 (so c2 = 60 x)."""
+    """Character 248 - 60 x + 6 x^2 - x^3/3 of the rank-248 bundle (so c2 = 60 x)."""
     if not x.is_homogeneous(4):
         raise DegreeError("x must be homogeneous of degree 4")
-    ring = x.ring
-    ch = ring.constant(248) - 60 * x + 6 * (x * x) - (x * x * x) * Fraction(1, 3)
-    return VirtualBundle(ch)
+    return x.ring.constant(248) - 60 * x + 6 * (x * x) - (x * x * x) * Fraction(1, 3)
 
 
 def line_pair_ch(c):
-    """Rank-2 bundle exp(c) + exp(-c) for a degree-2 class c."""
+    """Character exp(c) + exp(-c) of the rank-2 bundle of a degree-2 class c."""
     if not c.is_homogeneous(2):
         raise DegreeError("c must be homogeneous of degree 2")
-    ch = _exp_nilpotent(c) + _exp_nilpotent(-c)
-    return VirtualBundle(ch)
+    return _exp_nilpotent(c) + _exp_nilpotent(-c)
 
 
-def vb_adams(bundle, k):
-    """Adams operation: scales each degree-2j character component by k**j."""
+def vb_adams(ch, k):
+    """Character of the k-th Adams image: each degree-2j component of ``ch``
+    scaled by k**j."""
     k = int(k)
     if k < 1:
         raise ArgumentError("Adams operations need k >= 1, got %d" % k)
-    ch = bundle.ch
     shift = ch.ring._shift
     nums = {key: n * k ** ((key >> shift) // 2) for key, n in ch.nums.items()}
-    return VirtualBundle(_poly(ch.ring, ch.den, nums))
+    return _poly(ch.ring, ch.den, nums)
 
 
-def vb_lambda2_sym2(bundle):
-    """Exterior and symmetric square of a (virtual) bundle.
-
-    ch(L2) = (ch(E)^2 - ch(psi^2 E)) / 2 and ch(S2) = (ch(E)^2 + ch(psi^2 E)) / 2.
-    """
-    square = bundle.ch * bundle.ch
-    psi2 = vb_adams(bundle, 2).ch
-    lam = VirtualBundle((square - psi2) * Fraction(1, 2))
-    sym = VirtualBundle((square + psi2) * Fraction(1, 2))
-    return lam, sym
+def vb_lambda2_sym2(ch):
+    """Characters of the exterior and symmetric square of the bundle with
+    character ``ch``: (ch^2 - psi^2 ch) / 2 and (ch^2 + psi^2 ch) / 2."""
+    square = ch * ch
+    psi2 = vb_adams(ch, 2)
+    return (square - psi2) * Fraction(1, 2), (square + psi2) * Fraction(1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -626,11 +545,12 @@ def vb_lambda2_sym2(bundle):
 WITTEN_SPEC_IDS = ("Theta", "ThetaTwisted", "Theta1", "Theta2", "Theta3", "Phi")
 
 
-def _reduced(bundle):
-    rank = bundle.rank
+def _reduced(ch):
+    """``ch`` minus its rank, which must be an integer."""
+    rank = ch.constant_term()
     if rank.denominator != 1:
         raise ArgumentError("reduction needs an integer rank, got %s" % rank)
-    return bundle - trivial_bundle(bundle.ring, rank)
+    return ch - rank
 
 
 def _accumulate(terms, key, piece):
@@ -666,11 +586,12 @@ def _witten_log(order, families):
     return terms
 
 
-def witten_character(spec_id, inputs, order, ring=None):
+def witten_character(spec_id, inputs, order):
     """q-expansion of a standard twist bundle as a QExpSeries of characters.
 
-    ``inputs`` supplies the ingredient bundles ([tangent] or
-    [tangent, twist]); the support is whole for every id except
+    ``inputs`` supplies the ingredient characters ([tangent] or
+    [tangent, twist]), each of integer rank; the series lives over the
+    tangent character's ring.  The support is whole for every id except
     Theta2/Theta3, whose support is half-integral.
     """
     if spec_id not in WITTEN_SPEC_IDS:
@@ -678,13 +599,12 @@ def witten_character(spec_id, inputs, order, ring=None):
     if not inputs:
         raise ArgumentError("need at least the tangent input")
     tangent = inputs[0]
-    ring = ring or tangent.ring
     order = int(order)
     psi_cache = {}
 
     def tangent_psi(k):
         if k not in psi_cache:
-            psi_cache[k] = _reduced(vb_adams(tangent, k)).ch
+            psi_cache[k] = _reduced(vb_adams(tangent, k))
         return psi_cache[k]
 
     whole = [GRID * m for m in range(1, order + 1)]
@@ -707,7 +627,7 @@ def witten_character(spec_id, inputs, order, ring=None):
 
         def twist_psi(k):
             if k not in twist_cache:
-                twist_cache[k] = _reduced(vb_adams(twist, k)).ch
+                twist_cache[k] = _reduced(vb_adams(twist, k))
             return twist_cache[k]
 
         families.append(("sym", +1, whole, tangent_psi))
@@ -715,14 +635,14 @@ def witten_character(spec_id, inputs, order, ring=None):
         families.append(("ext", -1, half, twist_psi))
         families.append(("ext", +1, half, twist_psi))
 
-    return qs_exp(QExpSeries(ring, order, _witten_log(order, families)))
+    return qs_exp(QExpSeries(tangent.ring, order, _witten_log(order, families)))
 
 
-def witten_expand(spec_id, inputs, order, ring=None):
-    """Same expansion as `witten_character` as exponent -> VirtualBundle,
-    with Fraction exponents."""
-    series = witten_character(spec_id, inputs, order, ring=ring)
-    return {Fraction(k, GRID): VirtualBundle(ch) for k, ch in sorted(series.terms.items())}
+def witten_expand(spec_id, inputs, order):
+    """Same expansion as `witten_character` as a dict from Fraction
+    exponent to character."""
+    series = witten_character(spec_id, inputs, order)
+    return {Fraction(k, GRID): ch for k, ch in sorted(series.terms.items())}
 
 
 # ----------------------------------------------------------------------
@@ -766,7 +686,7 @@ def calibrate_e8_roots(x, order=1):
     if alpha == 0:
         raise CalibrationError("degree-4 slot is singular")
 
-    target = e8_ch(x).ch
+    target = e8_ch(x)
     t4 = target.homogeneous_part(4)
     t8 = target.homogeneous_part(8)
     t12 = target.homogeneous_part(12)

@@ -126,10 +126,6 @@ class QExpSeries:
         """Series from a list of whole-power coefficients [a_0, a_1, ...]."""
         return cls(ring, order, {GRID * n: c for n, c in enumerate(coeffs)})
 
-    @classmethod
-    def monomial(cls, ring, order, grid_exponent, coeff):
-        return cls(ring, order, {int(grid_exponent): coeff})
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -140,9 +136,6 @@ class QExpSeries:
         if k.denominator != 1:
             raise GridError("exponent %s is off the 1/%d grid" % (exponent, GRID))
         return self.terms.get(int(k), self.ring.zero())
-
-    def support(self):
-        return sorted(self.terms)
 
     def is_zero(self):
         return not self.terms
@@ -303,8 +296,12 @@ def qs_inv(a):
 
 
 def _exp_nilpotent(element):
-    """exp of a nilpotent ring element, such as a `GradedPoly` with zero
-    constant term, as a finite sum."""
+    """exp of a nilpotent ring element, a `GradedPoly` with zero constant
+    term, as a finite sum.  Generator degrees are positive, so such an
+    element is nilpotent under the ring's degree cap."""
+    c0 = element.constant_term()
+    if c0 != 0:
+        raise NotExponentiable("exp needs a zero constant term, got %s" % c0)
     acc = term = element.ring.one()
     k = 1
     while True:
@@ -313,8 +310,6 @@ def _exp_nilpotent(element):
             return acc
         acc = acc + term
         k += 1
-        if k > 10000:
-            raise NotExponentiable("q^0 coefficient does not appear nilpotent")
 
 
 def _log_one_plus_nilpotent(ring, element):

@@ -1,5 +1,5 @@
-"""Tests for graded polynomial rings, multiplicative classes, virtual
-bundles, twist-bundle q-expansions, and the rank-248 root calibration.
+"""Tests for graded polynomial rings, multiplicative classes, bundle
+characters, twist-bundle q-expansions, and the rank-248 root calibration.
 
 The heavy oracle here is a six-root splitting model built independently in
 sympy: every multiplicative class and character operation is recomputed as
@@ -26,9 +26,9 @@ from charmod.charring import (
     line_pair_ch,
     multiplicative_class,
     power_sums_from_pontryagin,
-    trivial_bundle,
     vb_adams,
     vb_lambda2_sym2,
+    witten_character,
     witten_expand,
 )
 from charmod.thetamod import e8_character
@@ -150,7 +150,7 @@ def test_power_sums_newton_identities():
 
 def test_tangent_character_against_roots():
     # ch of the complexified tangent: sum over +-roots of exp = 12 + sum 2cosh(y_i)
-    lib = ch_tangent(12, default_ring()).ch
+    lib = ch_tangent(12, default_ring())
     oracle = 6 * 2
     for t in T_SYMS:
         oracle += t + t ** 2 / sympy.Integer(12) + t ** 3 / sympy.Integer(360)
@@ -159,7 +159,7 @@ def test_tangent_character_against_roots():
 
 def test_tangent_pinned():
     ring = default_ring()
-    ch = ch_tangent(12, ring).ch
+    ch = ch_tangent(12, ring)
     g = ring.gens()
     assert ch.constant_term() == 12
     assert ch.homogeneous_part(4) == g["p1"]
@@ -171,15 +171,15 @@ def test_adams_on_tangent():
     ring = default_ring()
     tangent = ch_tangent(12, ring)
     psi2 = vb_adams(tangent, 2)
-    assert psi2.rank == 12
-    assert psi2.ch_component(4) == ring.gen("p1") * 4
+    assert psi2.constant_term() == 12
+    assert psi2.homogeneous_part(4) == ring.gen("p1") * 4
 
 
 def test_adams_on_line_pair_doubles_the_class():
     ring = default_ring()
     xi = line_pair_ch(ring.gen("c"))
     doubled = line_pair_ch(ring.gen("c") * 2)
-    assert vb_adams(xi, 2).ch == doubled.ch
+    assert vb_adams(xi, 2) == doubled
 
 
 def test_adams_rejects_nonpositive():
@@ -201,8 +201,8 @@ def test_lambda2_sym2_against_pair_roots():
     ring = default_ring()
     tangent = ch_tangent(12, ring)
     lam, sym = vb_lambda2_sym2(tangent)
-    assert lam.rank == 66
-    assert sym.rank == 78
+    assert lam.constant_term() == 66
+    assert sym.constant_term() == 78
 
     y = Y_SYMS
     pairs_lam = 6  # +y_i paired with -y_i
@@ -223,29 +223,29 @@ def test_lambda2_sym2_against_pair_roots():
         return sym_truncate(poly, 3)
 
     images = pontryagin_images()
-    assert sympy.expand(library_poly_to_sympy(lam.ch, images) - to_t(pairs_lam)) == 0
-    assert sympy.expand(library_poly_to_sympy(sym.ch, images) - to_t(pairs_sym)) == 0
+    assert sympy.expand(library_poly_to_sympy(lam, images) - to_t(pairs_lam)) == 0
+    assert sympy.expand(library_poly_to_sympy(sym, images) - to_t(pairs_sym)) == 0
 
 
 def test_lambda_minus_sym_is_minus_adams():
     ring = default_ring()
     tangent = ch_tangent(12, ring)
     lam, sym = vb_lambda2_sym2(tangent)
-    assert (lam - sym).ch == -vb_adams(tangent, 2).ch
-    assert (lam - sym).ch_component(4) == ring.gen("p1") * -4
+    assert lam - sym == -vb_adams(tangent, 2)
+    assert (lam - sym).homogeneous_part(4) == ring.gen("p1") * -4
 
 
 def test_lambda2_sym2_sum_is_tensor_square():
     ring = default_ring()
     tangent = ch_tangent(12, ring)
     lam, sym = vb_lambda2_sym2(tangent)
-    assert (lam + sym).ch == (tangent * tangent).ch
+    assert lam + sym == tangent * tangent
 
 
 def test_line_pair_pinned():
     ring = default_ring()
     c = ring.gen("c")
-    ch = line_pair_ch(c).ch
+    ch = line_pair_ch(c)
     expected = (
         ring.constant(2)
         + c * c
@@ -265,7 +265,7 @@ def test_line_pair_requires_degree_2():
 def test_e8_bundle_pinned():
     ring = default_ring()
     x = ring.gen("x")
-    ch = e8_ch(x).ch
+    ch = e8_ch(x)
     assert ch == ring.constant(248) - 60 * x + 6 * x * x - x ** 3 * Fraction(1, 3)
     with pytest.raises(DegreeError):
         e8_ch(ring.gen("c"))
@@ -321,12 +321,34 @@ def test_substitute_between_rings():
     with pytest.raises(ValueError):
         poly.substitute({}, dst)
 
+    # several terms over mixed denominators, images with denominators of their own
+    two = PolyRing({"a": 4, "b": 2}, cap=8)
+    a, b = two.gen("a"), two.gen("b")
+    poly = a * a * Fraction(1, 3) + b * Fraction(1, 4) - a * b * Fraction(5, 6) + Fraction(7, 2)
+    u = dst.gen("u")
+    big_a = u + Fraction(1, 2)
+    big_b = u * u * Fraction(2, 7)
+    image = poly.substitute({"a": big_a, "b": big_b}, dst)
+    assert image == (
+        big_a * big_a * Fraction(1, 3)
+        + big_b * Fraction(1, 4)
+        - big_a * big_b * Fraction(5, 6)
+        + Fraction(7, 2)
+    )
+    # 43/12 + u/3 + 2/7 u^2 - 5/21 u^3, worked by hand
+    pinned = {(0,): Fraction(43, 12), (1,): Fraction(1, 3), (2,): Fraction(2, 7), (3,): Fraction(-5, 21)}
+    assert image == GradedPoly(dst, pinned)
+    # a generator that appears with exponent 0 everywhere needs no image
+    assert (a * Fraction(1, 3) + 1).substitute({"a": big_b}, dst) == big_b * Fraction(1, 3) + 1
+    with pytest.raises(ValueError, match="'b'"):
+        poly.substitute({"a": big_a}, dst)
+
 
 def test_trivial_bundle_and_coercion():
     ring = default_ring()
-    t = trivial_bundle(ring, 5)
-    assert t.rank == 5
-    assert (t - 5).ch.is_zero()
+    t = ring.constant(5)
+    assert t.constant_term() == 5
+    assert (t - 5).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -339,10 +361,10 @@ def test_theta_expansion_first_orders():
     tangent = ch_tangent(12, ring)
     reduced = tangent - 12
     expansion = witten_expand("Theta", [tangent], 2)
-    assert expansion[Fraction(0)].ch == ring.one()
-    assert expansion[Fraction(1)].ch == reduced.ch
+    assert expansion[Fraction(0)] == ring.one()
+    assert expansion[Fraction(1)] == reduced
     lam, sym = vb_lambda2_sym2(reduced)
-    assert expansion[Fraction(2)].ch == (sym + reduced).ch
+    assert expansion[Fraction(2)] == sym + reduced
 
 
 def test_theta_twisted_expansion_is_integral_with_zero_rank_tail():
@@ -353,8 +375,8 @@ def test_theta_twisted_expansion_is_integral_with_zero_rank_tail():
     assert all(exp.denominator == 1 for exp in expansion)
     xi_t = xi - 2
     b1 = tangent - 12 - 3 * xi_t - xi_t * xi_t
-    assert expansion[Fraction(1)].ch == b1.ch
-    assert expansion[Fraction(1)].rank == 0
+    assert expansion[Fraction(1)] == b1
+    assert expansion[Fraction(1)].constant_term() == 0
 
 
 def test_half_integral_support_kinds():
@@ -370,8 +392,18 @@ def test_phi_expansion_q1():
     lam, sym = vb_lambda2_sym2(tangent)
     expansion = witten_expand("Phi", [tangent], 1)
     d1 = 2 * tangent + lam - sym - 12
-    assert expansion[Fraction(1)].ch == d1.ch
-    assert expansion[Fraction(1)].rank == 0
+    assert expansion[Fraction(1)] == d1
+    assert expansion[Fraction(1)].constant_term() == 0
+
+
+def test_witten_character_rejects_a_fractional_rank():
+    ring = default_ring()
+    tangent = ch_tangent(12, ring)
+    xi = line_pair_ch(ring.gen("c"))
+    with pytest.raises(ArgumentError, match="integer rank"):
+        witten_character("Theta", [tangent + Fraction(1, 2)], 1)
+    with pytest.raises(ArgumentError, match="integer rank"):
+        witten_character("ThetaTwisted", [tangent, xi - Fraction(1, 3)], 1)
 
 
 def test_witten_expand_validation():
@@ -407,7 +439,7 @@ def test_calibrated_character_first_coefficient():
     x = ring.gen("x")
     char = e8_character(calibrate_e8_roots(x), 2)
     assert char.coefficient(0) == ring.one()
-    assert char.coefficient(1) == e8_ch(x).ch
+    assert char.coefficient(1) == e8_ch(x)
 
 
 def test_character_ignores_higher_calibration_slots():

@@ -1,12 +1,14 @@
 """Unit tests for the exact arithmetic layer: q-series on the 1/24 exponent
 grid."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charmod.charring import default_ring
 from charmod.exactmath import (
     GRID,
     GridError,
@@ -14,6 +16,7 @@ from charmod.exactmath import (
     NotInvertible,
     QExpSeries,
     RAT_RING,
+    _exp_nilpotent,
     qs_exp,
     qs_inv,
     qs_log,
@@ -42,7 +45,7 @@ def test_from_q_coeffs_and_coefficient():
 
 
 def test_monomial_on_fractional_grid():
-    s = QExpSeries.monomial(RAT_RING, 2, 12, Fraction(1))  # q^(1/2)
+    s = QExpSeries(RAT_RING, 2, {12: Fraction(1)})  # q^(1/2)
     assert s.coefficient(Fraction(1, 2)) == 1
     assert not s.has_whole_support()
     with pytest.raises(GridError):
@@ -70,7 +73,7 @@ def test_mul_matches_cauchy_product():
 
 
 def test_mul_mixed_grid_support():
-    half = QExpSeries.monomial(RAT_RING, 2, 12, Fraction(1))
+    half = QExpSeries(RAT_RING, 2, {12: Fraction(1)})
     assert qs_mul(half, half).coefficient(1) == 1
 
 
@@ -101,6 +104,13 @@ def test_exp_log_round_trip():
 def test_exp_rejects_nonzero_constant():
     with pytest.raises(NotExponentiable):
         qs_exp(series([1, 1]))
+
+
+def test_exp_nilpotent_rejects_a_constant_term_at_once():
+    started = time.perf_counter()
+    with pytest.raises(NotExponentiable):
+        _exp_nilpotent(default_ring().one())
+    assert time.perf_counter() - started < 1.0
 
 
 def test_log_rejects_non_unit_head():

@@ -141,7 +141,7 @@ def product_ratio(kind, order):
     out = QExpSeries.one(ring, order)
     prefactor_log = ring.zero()
     for y_power, coeff in PRODUCT_PREFACTOR_LOG.get(kind, {}).items():
-        prefactor_log = prefactor_log + ring.term(coeff, y=y_power)
+        prefactor_log = prefactor_log + y ** y_power * coeff
     out = out.scale(_exp_nilpotent(prefactor_log))
 
     if kind in ("theta", "theta1"):
