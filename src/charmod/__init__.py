@@ -26,7 +26,6 @@ from .exactmath import (
 )
 from .charring import (
     ArgumentError,
-    CalibrationError,
     DegreeError,
     DimError,
     GradedPoly,

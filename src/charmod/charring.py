@@ -5,8 +5,8 @@ cap, multiplicative classes built from even root functions, and the
 characters of virtual bundles: a bundle is its total Chern character, a
 polynomial in the ring, so Adams operations, the exterior/symmetric square
 splitting and the q-expansions of the standard twist bundles all take and
-return characters.  Also calibrates the degree-4/8/12 root data of the
-rank-248 bundle.
+return characters.  Also gives the degree-4/8/12 root data of the rank-248
+bundle in closed form: the power sums of one root y with y^2 = -2x.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class ParityError(ValueError):
 
 class SpecError(ValueError):
     """Unknown twist-bundle specification id."""
-
-
-class CalibrationError(ArithmeticError):
-    """The root-calibration system is singular."""
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +538,31 @@ def vb_lambda2_sym2(ch):
 # twist-bundle q-expansions
 # ----------------------------------------------------------------------
 
-WITTEN_SPEC_IDS = ("Theta", "ThetaTwisted", "Theta1", "Theta2", "Theta3", "Phi")
+#: The log of each Jacobi-theta factor as (alternating, sign, half steps).
+#: Over the reduced character E of an input it is, at each step s (q^n, or
+#: q^(n-1/2) on half steps), sum_k sign^k psi^k(E) q^(ks) / k, with
+#: (-1)^(k+1) in each term when alternating: the log of Sym_t E (Theta) or
+#: Lambda_t E (Theta1) at t = q^n, and of Lambda_t E at t = -q^(n-1/2)
+#: (Theta2) or t = q^(n-1/2) (Theta3).
+_THETA = (False, 1, False)
+_THETA1 = (True, 1, False)
+_THETA2 = (True, -1, True)
+_THETA3 = (True, 1, True)
+
+#: Each twist spec as its families, (input index, factor) pairs.  Phi, the
+#: orientable twist, is all four factors on the tangent input; ThetaTwisted,
+#: the spin^c twist, is Theta on the tangent input and the other three
+#: factors on the twist input.
+_WITTEN_SPECS = {
+    "Theta": ((0, _THETA),),
+    "ThetaTwisted": ((0, _THETA), (1, _THETA1), (1, _THETA2), (1, _THETA3)),
+    "Theta1": ((0, _THETA1),),
+    "Theta2": ((0, _THETA2),),
+    "Theta3": ((0, _THETA3),),
+    "Phi": ((0, _THETA), (0, _THETA1), (0, _THETA2), (0, _THETA3)),
+}
+
+WITTEN_SPEC_IDS = tuple(_WITTEN_SPECS)
 
 
 def _reduced(ch):
@@ -560,32 +580,6 @@ def _accumulate(terms, key, piece):
         terms[key] = piece
 
 
-def _witten_log(order, families):
-    """Assemble the log of a product of symmetric/exterior families.
-
-    ``families`` is a list of (style, sign, steps, ch_psi) where style is
-    "sym" or "ext", ``sign`` multiplies the formal variable (+1 or -1),
-    ``steps`` lists grid-unit exponents of the formal variable (one per
-    tensor factor), and ``ch_psi(k)`` returns the reduced character of the
-    k-th Adams image.
-    """
-    terms = {}
-    limit = GRID * order
-    for style, sign, steps, ch_psi in families:
-        for step in steps:
-            k = 1
-            while step * k <= limit:
-                if style == "sym":
-                    coeff = Fraction(1, k)
-                else:  # exterior: log Lambda_t = sum (-1)^(k+1) t^k /k
-                    coeff = Fraction((-1) ** (k + 1), k)
-                if sign < 0:
-                    coeff = coeff * Fraction((-1) ** k)
-                _accumulate(terms, step * k, ch_psi(k) * coeff)
-                k += 1
-    return terms
-
-
 def witten_character(spec_id, inputs, order):
     """q-expansion of a standard twist bundle as a QExpSeries of characters.
 
@@ -594,48 +588,26 @@ def witten_character(spec_id, inputs, order):
     tangent character's ring.  The support is whole for every id except
     Theta2/Theta3, whose support is half-integral.
     """
-    if spec_id not in WITTEN_SPEC_IDS:
+    if spec_id not in _WITTEN_SPECS:
         raise SpecError("unknown twist-bundle id %r" % (spec_id,))
-    if not inputs:
-        raise ArgumentError("need at least the tangent input")
-    tangent = inputs[0]
+    families = _WITTEN_SPECS[spec_id]
+    needed = 1 + max(index for index, _ in families)
+    if len(inputs) < needed:
+        raise ArgumentError("%s needs %d inputs, got %d" % (spec_id, needed, len(inputs)))
     order = int(order)
-    psi_cache = {}
-
-    def tangent_psi(k):
-        if k not in psi_cache:
-            psi_cache[k] = _reduced(vb_adams(tangent, k))
-        return psi_cache[k]
-
-    whole = [GRID * m for m in range(1, order + 1)]
-    half = [12 * (2 * u - 1) for u in range(1, order + 2) if 12 * (2 * u - 1) <= GRID * order]
-
-    families = []
-    if spec_id in ("Theta", "Phi"):
-        families.append(("sym", +1, whole, tangent_psi))
-    if spec_id in ("Theta1", "Phi"):
-        families.append(("ext", +1, whole, tangent_psi))
-    if spec_id in ("Theta2", "Phi"):
-        families.append(("ext", -1, half, tangent_psi))
-    if spec_id in ("Theta3", "Phi"):
-        families.append(("ext", +1, half, tangent_psi))
-    if spec_id == "ThetaTwisted":
-        if len(inputs) < 2:
-            raise ArgumentError("twisted expansion needs [tangent, twist]")
-        twist = inputs[1]
-        twist_cache = {}
-
-        def twist_psi(k):
-            if k not in twist_cache:
-                twist_cache[k] = _reduced(vb_adams(twist, k))
-            return twist_cache[k]
-
-        families.append(("sym", +1, whole, tangent_psi))
-        families.append(("ext", +1, whole, twist_psi))
-        families.append(("ext", -1, half, twist_psi))
-        families.append(("ext", +1, half, twist_psi))
-
-    return qs_exp(QExpSeries(tangent.ring, order, _witten_log(order, families)))
+    limit = GRID * order
+    psi = {}
+    terms = {}
+    for index, (alternating, sign, half_steps) in families:
+        for step in range(GRID // 2 if half_steps else GRID, limit + 1, GRID):
+            for k in range(1, limit // step + 1):
+                if (index, k) not in psi:
+                    psi[(index, k)] = _reduced(vb_adams(inputs[index], k))
+                coeff = Fraction(sign ** k, k)
+                if alternating and k % 2 == 0:
+                    coeff = -coeff
+                _accumulate(terms, step * k, psi[(index, k)] * coeff)
+    return qs_exp(QExpSeries(inputs[0].ring, order, terms))
 
 
 def witten_expand(spec_id, inputs, order):
@@ -646,68 +618,22 @@ def witten_expand(spec_id, inputs, order):
 
 
 # ----------------------------------------------------------------------
-# root calibration for the rank-248 bundle
+# root data of the rank-248 bundle
 # ----------------------------------------------------------------------
 
 
-def calibrate_e8_roots(x, order=1):
-    """Solve for degree-4/8/12 root power sums reproducing
+def calibrate_e8_roots(x):
+    """Degree-4/8/12 root power sums (g1, g2, g3) that reproduce
     ch = 248 - 60x + 6x^2 - x^3/3 in the q^1 character coefficient.
 
-    Expands the q^1 coefficient over the free ring in (g1, g2, g3) and
-    matches it degree by degree against the target.  The degree-4 slot
-    determines g1 (= -2x).  The degree-8 and degree-12 slots are degenerate
-    within the degree cap: every Weyl-invariant of the eight root variables
-    in these degrees is a polynomial in the first power sum, so the g2/g3
-    coefficients vanish identically and their equations must already hold
-    under the solved g1.  Those consistency conditions are checked exactly;
-    the free slots are then completed canonically by g2 = g1^2, g3 = g1^3
-    (the values any single-root configuration realizes).  Downstream
-    characters are independent of that completion.  A nonzero coefficient
-    would make the system genuinely triangular and is solved when present;
-    an unsolvable or inconsistent system raises CalibrationError.
+    They are the power sums y^2, y^4, y^6 of one root with y^2 = -2x.  The
+    degree-4 slot of the q^1 coefficient forces g1 = -2x.  Below degree 16
+    every Weyl invariant of the eight root variables is a polynomial in the
+    first power sum, so the degree-8 and degree-12 slots leave g2 and g3
+    free, and the single-root values g1^2 and g1^3 complete them; the
+    assembled character does not depend on that completion.
     """
-    from . import thetamod  # deferred: thetamod uses this module's rings
-
     if not x.is_homogeneous(4):
         raise DegreeError("x must be homogeneous of degree 4")
-
-    g_ring = PolyRing({"g1": 4, "g2": 8, "g3": 12}, cap=12)
-    g1, g2, g3 = g_ring.gen("g1"), g_ring.gen("g2"), g_ring.gen("g3")
-    character = thetamod.e8_character((g1, g2, g3), max(1, int(order)))
-    q1_coeff = character.coefficient(1)
-
-    alpha = q1_coeff.monomial_coefficient(g1=1)
-    beta1 = q1_coeff.monomial_coefficient(g1=2)
-    beta2 = q1_coeff.monomial_coefficient(g2=1)
-    gamma1 = q1_coeff.monomial_coefficient(g1=3)
-    gamma2 = q1_coeff.monomial_coefficient(g1=1, g2=1)
-    gamma3 = q1_coeff.monomial_coefficient(g3=1)
-    if alpha == 0:
-        raise CalibrationError("degree-4 slot is singular")
-
-    target = e8_ch(x)
-    t4 = target.homogeneous_part(4)
-    t8 = target.homogeneous_part(8)
-    t12 = target.homogeneous_part(12)
-
-    g1_val = t4 * (Fraction(1) / alpha)
-    g1_sq = g1_val * g1_val
-
-    if beta2 != 0:
-        g2_val = (t8 - g1_sq * beta1) * (Fraction(1) / beta2)
-    else:
-        if g1_sq * beta1 != t8:
-            raise CalibrationError("degree-8 slot is singular and inconsistent")
-        g2_val = g1_sq
-
-    g1_cube = g1_sq * g1_val
-    if gamma3 != 0:
-        g3_val = (t12 - g1_cube * gamma1 - g1_val * g2_val * gamma2) * (
-            Fraction(1) / gamma3
-        )
-    else:
-        if g1_cube * gamma1 + g1_val * g2_val * gamma2 != t12:
-            raise CalibrationError("degree-12 slot is singular and inconsistent")
-        g3_val = g1_cube
-    return g1_val, g2_val, g3_val
+    g1 = -2 * x
+    return g1, g1 * g1, g1 * g1 * g1

@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 
 from .anomaly import CLASS_KINDS, REGISTRY_IDS, build_twisted_class, run_registry
-from .charring import calibrate_e8_roots, default_ring, multiplicative_class
+from .charring import default_ring, multiplicative_class
 from .cubiclattice import (
     HypothesisWarning,
     NoSolution,
@@ -143,6 +143,11 @@ def _cmd_lattice(args):
     if caught:
         report["warnings"] = caught
     if report["bhat"] is not None:
+        if spec.b is None and not report["characteristic"]:
+            raise UsageError(
+                "%s: a = %s is not characteristic, so the file must give b"
+                % (args.file, list(spec.a))
+            )
         relations = check_cubic_relations(lattice, spec)
         report["relations"] = relations
         passed = relations["passed"]

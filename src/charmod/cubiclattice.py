@@ -307,8 +307,8 @@ def load_lattice_json(source):
     """Parse the lattice input format.
 
     Expected keys: rank, trilinear (full n x n x n array), and optionally
-    a (default zero), b, modulus (default 24), seed (default 0; no check
-    samples, so none reads it).  Entries may be integers of any size.
+    a (default zero), b and modulus (default 24).  Entries may be integers
+    of any size.
     """
     if isinstance(source, str):
         with open(source) as handle:
@@ -332,9 +332,4 @@ def load_lattice_json(source):
     modulus = payload.get("modulus", 24)
     if not isinstance(modulus, int) or modulus not in MODULI:
         raise ValueError("modulus must be one of %s" % (MODULI,))
-    return {
-        "lattice": lattice,
-        "spec": spec,
-        "modulus": modulus,
-        "seed": int(payload.get("seed", 0)),
-    }
+    return {"lattice": lattice, "spec": spec, "modulus": modulus}

@@ -193,6 +193,23 @@ def test_two_routes_agree_for_every_kind():
         assert adams == theta, kind
 
 
+def test_prefactor_exponent_pinned():
+    # both routes share K, so the two-route test cannot see a wrong one
+    ring = default_ring()
+    g = ring.gens()
+    p1, c, x = g["p1"], g["c"], g["x"]
+    expected = {
+        "W": p1,
+        "Wc": p1 - 3 * c * c,
+        "LWitten": -2 * p1,
+        "Qc": p1 - 3 * c * c + 4 * x,
+        "Rc": p1 - 3 * c * c + 2 * x,
+        "QL": -2 * p1 + 4 * x,
+        "RL": -2 * p1 + 2 * x,
+    }
+    assert {kind: prefactor_exponent(kind, ring) for kind in CLASS_KINDS} == expected
+
+
 def test_build_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_twisted_class("nope", 2)

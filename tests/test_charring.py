@@ -367,6 +367,23 @@ def test_theta_expansion_first_orders():
     assert expansion[Fraction(2)] == sym + reduced
 
 
+@pytest.mark.parametrize("spec_id", ["Theta1", "Theta2", "Theta3"])
+def test_exterior_expansions_first_orders(spec_id):
+    # Lambda_s of the reduced tangent t at s = q^n, -q^(n-1/2), q^(n-1/2)
+    ring = default_ring()
+    tangent = ch_tangent(12, ring)
+    t = tangent - 12
+    lam, _ = vb_lambda2_sym2(t)
+    expected = {
+        "Theta1": {Fraction(1): t, Fraction(2): t + lam},
+        "Theta2": {Fraction(1, 2): -t, Fraction(1): lam},
+        "Theta3": {Fraction(1, 2): t, Fraction(1): lam},
+    }[spec_id]
+    expansion = witten_expand(spec_id, [tangent], 2)
+    for exponent, ch in expected.items():
+        assert expansion[exponent] == ch, exponent
+
+
 def test_theta_twisted_expansion_is_integral_with_zero_rank_tail():
     ring = default_ring()
     tangent = ch_tangent(12, ring)

@@ -173,6 +173,19 @@ def test_lattice_no_solution(capsys, tmp_path):
     assert any("not characteristic" in w for w in report.get("warnings", []))
 
 
+@pytest.mark.parametrize("modulus", [3, 12])
+def test_lattice_without_b_for_a_non_characteristic_a(capsys, tmp_path, modulus):
+    # bhat exists mod 3 and mod 12, but the relations need b when a is not
+    # characteristic: a usage error that names b, not an internal error
+    path = write_lattice(
+        tmp_path, {"rank": 1, "trilinear": [[[1]]], "a": [1], "modulus": modulus}
+    )
+    code, out, err = run_cli(capsys, "lattice", "--file", path)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "not characteristic" in err and "must give b" in err
+
+
 def test_lattice_entries_past_int64(capsys, tmp_path):
     # b, a and the tensor may exceed 2^63: they stay exact Python ints
     path = write_lattice(

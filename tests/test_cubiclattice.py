@@ -300,7 +300,7 @@ def test_load_lattice_from_dict():
     assert loaded["spec"].a == (2,)
     assert loaded["spec"].b is None
     assert loaded["modulus"] == 24
-    assert loaded["seed"] == 3
+    assert "seed" not in loaded
 
 
 def test_load_lattice_from_file(tmp_path):
@@ -310,7 +310,7 @@ def test_load_lattice_from_file(tmp_path):
     assert loaded["spec"].a == (0,)
     assert loaded["spec"].b == (4,)
     assert loaded["modulus"] == 24
-    assert loaded["seed"] == 0
+    assert "seed" not in loaded
 
 
 def test_load_lattice_errors():
