@@ -29,7 +29,6 @@ from .charring import (
     DegreeError,
     DimError,
     GradedPoly,
-    ParityError,
     PolyRing,
     SpecError,
     calibrate_e8_roots,

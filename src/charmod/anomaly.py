@@ -5,6 +5,10 @@ graded generators, a q-series factorization through a one-dimensional space
 of modular forms, a bundle identity at the character level, a residue
 congruence, or a boundary-restriction comparison — and verifies it by exact
 arithmetic, returning a `VerificationReport`.
+
+Every cubic form and index side comes from a base (spin, spin^c or
+orientable) and a number k of E8 copies by two rules, `cubic_form` and
+`_index_bundle`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .charring import (
     line_pair_ch,
     multiplicative_class,
     power_sums_from_pontryagin,
-    vb_adams,
     vb_lambda2_sym2,
     witten_character,
 )
@@ -127,11 +130,6 @@ def _tangent(ring):
 
 
 @lru_cache(maxsize=None)
-def _exp_half_c(ring):
-    return _exp_nilpotent(ring.gen("c") * Fraction(1, 2))
-
-
-@lru_cache(maxsize=None)
 def _e8_bundle(ring):
     return e8_ch(ring.gen("x"))
 
@@ -141,31 +139,6 @@ def _e8_char_series(ring, order):
     """Full character q-series of the calibrated rank-248 bundle."""
     g = calibrate_e8_roots(ring.gen("x"))
     return e8_character(g, order)
-
-
-def derived_classes(ring):
-    """The quadratic-form building blocks in the default generators."""
-    g = ring.gens()
-    p1, p2, c, x = g["p1"], g["p2"], g["c"], g["x"]
-    lam = p1 * Fraction(1, 2)
-    p = (p2 - lam * lam) * Fraction(1, 2)
-    lam_c = (p1 - 3 * c * c) * Fraction(1, 2)
-    p_c = (4 * p2 - p1 * p1 - 6 * p1 * c * c + 39 * c ** 4) * Fraction(1, 8)
-    out = {
-        "lam": lam,
-        "p": p,
-        "pt": p - 3 * lam * lam,
-        "lam_c": lam_c,
-        "p_c": p_c,
-        "pt_c": p_c - 3 * lam_c * lam_c,
-        "C": lam + 2 * x,
-        "Ct": lam + x,
-        "C_c": lam_c + 2 * x,
-        "Ct_c": lam_c + x,
-        "D": -p1 + 2 * x,
-        "Dt": -p1 + x,
-    }
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -199,15 +172,19 @@ _CLASS_TABLE = {
 CLASS_KINDS = tuple(_CLASS_TABLE)
 
 
-def prefactor_exponent(kind, ring):
-    """Polynomial K in the exponential prefactor exp((1/24) E2 K) of a class:
-    the base's multiple of p1 and c^2, plus 2x for each E8 copy."""
-    if kind not in _CLASS_TABLE:
-        raise ValueError("unknown class kind %r" % (kind,))
-    base, copies = _CLASS_TABLE[kind]
-    (a_p1, a_c2), _, _ = _BASES[base]
+def _exponent(base, copies, ring):
+    """K of a base twisted by ``copies`` E8 copies: the base's multiple of
+    p1 and c^2, plus 2x for each copy."""
+    a_p1, a_c2 = _BASES[base][0]
     g = ring.gens()
     return a_p1 * g["p1"] + a_c2 * g["c"] * g["c"] + 2 * copies * g["x"]
+
+
+def prefactor_exponent(kind, ring):
+    """Polynomial K in the exponential prefactor exp((1/24) E2 K) of a class."""
+    if kind not in _CLASS_TABLE:
+        raise ValueError("unknown class kind %r" % (kind,))
+    return _exponent(*_CLASS_TABLE[kind], ring)
 
 
 def _prefactor_series(kind, order, ring):
@@ -295,34 +272,72 @@ def degree_part_series(series, degree):
 
 
 # ----------------------------------------------------------------------
-# bundle combinations appearing in the factorization displays
+# cubic forms and their index bundles
 # ----------------------------------------------------------------------
 
 
 def display_bundles(ring):
-    """Characters of the virtual bundles named by the degree-8
-    factorization displays."""
+    """Characters of the bundles named by the displays: T, V, the line pair
+    xi of c and its reduction xi_t, the exterior and symmetric squares of T,
+    and the displayed q^1 bundles B1 (spin^c) and D1 (orientable)."""
     T = _tangent(ring)
-    V = _e8_bundle(ring)
     xi = line_pair_ch(ring.gen("c"))
     xi_t = xi - 2
     lam2, sym2 = vb_lambda2_sym2(T)
-    B1 = T - 12 - 3 * xi_t - xi_t * xi_t
-    D1 = 2 * T + lam2 - sym2 - 12
     return {
         "T": T,
-        "V": V,
+        "V": _e8_bundle(ring),
         "xi": xi,
         "xi_t": xi_t,
         "lam2": lam2,
         "sym2": sym2,
-        "B1": B1,
-        "D1": D1,
-        "frakA": 2 * V + T - 4 - 3 * xi_t - xi_t * xi_t,
-        "frakB": V + T + 244 - 3 * xi_t - xi_t * xi_t,
-        "frakC": 2 * V + 2 * T + lam2 - sym2 - 4,
-        "frakD": V + 2 * T + lam2 - sym2 + 244,
+        "B1": T - 12 - 3 * xi_t - xi_t * xi_t,
+        "D1": 2 * T + lam2 - sym2 - 12,
     }
+
+
+#: The degree-8 class p of each base's cubic form.
+_P_CLASSES = {
+    "spin": lambda p1, p2, c: (4 * p2 - p1 * p1) / 8,
+    "spinc": lambda p1, p2, c: (4 * p2 - p1 * p1 - 6 * p1 * c * c + 39 * c ** 4) / 8,
+    "orient": lambda p1, p2, c: 4 * p1 * p1 - 7 * p2,
+}
+
+
+def cubic_form(base, k, ring):
+    """(L, Q) of the cubic form L * Q of a base with k copies of the E8
+    bundle.
+
+    L = lam + k x is half the prefactor exponent K of the base twisted by k
+    copies, lam = K_0 / 2 the untwisted half, and
+    Q = p - lam^2 - 2 k lam x - 4 x^2 with the base's degree-8 class p.
+    """
+    g = ring.gens()
+    lam = _exponent(base, 0, ring) / 2
+    x = g["x"]
+    p = _P_CLASSES[base](g["p1"], g["p2"], g["c"])
+    return lam + k * x, p - lam * lam - 2 * k * lam * x - 4 * x * x
+
+
+@lru_cache(maxsize=None)
+def _q1_bundle(base, ring):
+    """R, the displayed q^1 coefficient of a base's Witten series: T - 12,
+    B1 or D1, each of rank 0."""
+    b = display_bundles(ring)
+    return {"spin": b["T"] - 12, "spinc": b["B1"], "orient": b["D1"]}[base]
+
+
+def _index_bundle(k, v, reduced):
+    """k V + R + 504 - 248 k: the bundle of a cubic form with k copies of
+    the E8 bundle ``v`` and the rank-0 bundle ``reduced``, of rank 504.
+
+    Its index density is the base's weight times its character.  For
+    spin^c that weight is Ahat cosh(c/2), where the display has
+    Ahat exp(c/2): every other factor is even in c and every generator but
+    c has degree 0 mod 4, so the odd part sinh(c/2) lands only in degrees
+    2 mod 4, and the two agree in the degrees 8 and 12 read here.
+    """
+    return k * v + reduced + (504 - 248 * k)
 
 
 def exp_minus_one_over(k_poly):
@@ -344,41 +359,28 @@ def exp_minus_one_over(k_poly):
     return out
 
 
+#: Each degree-8 display as (class kind, weight of its cubic-form side).
 DEG8_SETTINGS = {
-    # id: (K kind, bundle key)
-    "deg8_spinc_q": ("Qc", "frakA"),
-    "deg8_spinc_r": ("Rc", "frakB"),
-    "deg8_orient_q": ("QL", "frakC"),
-    "deg8_orient_r": ("RL", "frakD"),
+    "deg8_spinc_q": ("Qc", Fraction(1, 24)),
+    "deg8_spinc_r": ("Rc", Fraction(1, 24)),
+    "deg8_orient_q": ("QL", Fraction(8, 3)),
+    "deg8_orient_r": ("RL", Fraction(8, 3)),
 }
 
 
 def deg8_display_sides(reg_id, ring):
-    """LHS (brace degree-8 part) and RHS (closed quadratic form) of one display."""
-    kind, bundle_key = DEG8_SETTINGS[reg_id]
+    """LHS (brace degree-8 part) and RHS (weighted Q of the cubic form) of
+    one display."""
+    kind, form_weight = DEG8_SETTINGS[reg_id]
+    base, k = _CLASS_TABLE[kind]
     K = prefactor_exponent(kind, ring)
-    bundle = display_bundles(ring)[bundle_key]
-    if _CLASS_TABLE[kind][0] == "spinc":
-        weight_class = _weight_class("spin", ring) * _exp_half_c(ring)
-    else:
-        weight_class = _weight_class("orient", ring)
+    weight_class = _weight_class(base, ring)
+    bundle = _index_bundle(k, _e8_bundle(ring), _q1_bundle(base, ring))
     u = exp_minus_one_over(K)
     exp_k = _exp_nilpotent(K * Fraction(1, 24))
     brace = -(u * weight_class * bundle) + exp_k * weight_class
-    lhs = brace.homogeneous_part(8)
-
-    d = derived_classes(ring)
-    g = ring.gens()
-    p1, p2 = g["p1"], g["p2"]
-    if reg_id == "deg8_spinc_q":
-        rhs = (d["p_c"] - d["C_c"] * d["C_c"]) * Fraction(1, 24)
-    elif reg_id == "deg8_spinc_r":
-        rhs = (d["pt_c"] + 6 * d["lam_c"] * d["Ct_c"] - 4 * d["Ct_c"] * d["Ct_c"]) * Fraction(1, 24)
-    elif reg_id == "deg8_orient_q":
-        rhs = (4 * p1 * p1 - 7 * p2 - d["D"] * d["D"]) * Fraction(8, 3)
-    else:
-        rhs = (p1 * p1 - 7 * p2 - 6 * p1 * d["Dt"] - 4 * d["Dt"] * d["Dt"]) * Fraction(8, 3)
-    return lhs, rhs
+    _, Q = cubic_form(base, k, ring)
+    return brace.homogeneous_part(8), Q * form_weight
 
 
 # ----------------------------------------------------------------------
@@ -409,23 +411,17 @@ def restrict_to_u(poly, target=None):
     return _substitute(poly, images, target)
 
 
-DIFFER_SETTINGS = {
-    # id: key of the untwisted C-symbol in derived_classes
-    "differ1": "C",
-    "differ2": "Ct",
-}
+#: Each comparison as its number k of E8 copies.
+DIFFER_SETTINGS = {"differ1": 2, "differ2": 1}
 
 
 def _differ_gamma(which, ring):
-    """Difference of the two quadratic-form displays, one twisted by c."""
-    d = derived_classes(ring)
-    if which == "differ1":
-        twisted = d["C_c"] * (d["p_c"] - d["C_c"] ** 2)
-        plain = d["C"] * (d["p"] - d["C"] ** 2)
-    else:
-        twisted = d["Ct_c"] * (d["pt_c"] + 6 * d["lam_c"] * d["Ct_c"] - 4 * d["Ct_c"] ** 2)
-        plain = d["Ct"] * (d["pt"] + 6 * d["lam"] * d["Ct"] - 4 * d["Ct"] ** 2)
-    return (twisted - plain) / 12
+    """The spin^c cubic form minus the spin one, both with the comparison's
+    k copies, over 12."""
+    k = DIFFER_SETTINGS[which]
+    l_c, q_c = cubic_form("spinc", k, ring)
+    l, q = cubic_form("spin", k, ring)
+    return (l_c * q_c - l * q) / 12
 
 
 def _differ_quadratic(which, C, p1, p2, c):
@@ -452,8 +448,10 @@ def _differ_quadratic(which, C, p1, p2, c):
 def boundary_tanh_term(which, target=None):
     """Degree-10 boundary correction term carried by the comparison.
 
-    (1/2) Ahat(T_U) ch(bundle) tanh(e/4) with the bundle 2 i*V + T_U|_C + N - 4
-    for differ1 and i*V + T_U|_C + N + 244 for differ2.
+    (1/2) Ahat(T_U) ch(bundle) tanh(e/4), where the bundle is the spin index
+    bundle with the comparison's k copies restricted to U: T restricts to
+    T_U + N and V to i*V, so it is 2 i*V + T_U + N - 4 for differ1 and
+    i*V + T_U + N + 244 for differ2.
     """
     ru = target or boundary_ring()
     names = ("tP1", "tP2")
@@ -461,10 +459,7 @@ def boundary_tanh_term(which, target=None):
     tangent = ch_tangent(10, ru, pontryagin_names=names)
     normal = line_pair_ch(ru.gen("e"))
     i_v = e8_ch(ru.gen("tx"))
-    if which == "differ1":
-        bundle = 2 * i_v + tangent + normal - 4
-    else:
-        bundle = i_v + tangent + normal + 244
+    bundle = _index_bundle(DIFFER_SETTINGS[which], i_v, tangent + normal - 12)
     e = ru.gen("e")
     tanh = e / 4 - e ** 3 / 192 + e ** 5 / 7680
     return ((ahat * bundle * tanh) / 2).homogeneous_part(10)
@@ -477,11 +472,10 @@ def verify_differ(which, cap=12):
     findings."""
     if which not in DIFFER_SETTINGS:
         raise ValueError("unknown comparison %r" % (which,))
-    c_key = DIFFER_SETTINGS[which]
+    k = DIFFER_SETTINGS[which]
     ring = default_ring(cap)
     g = ring.gens()
     p1, p2, c = g["p1"], g["p2"], g["c"]
-    d = derived_classes(ring)
 
     gamma = _differ_gamma(which, ring)
     try:
@@ -490,7 +484,8 @@ def verify_differ(which, cap=12):
     except ValueError as exc:
         return "not divisible by c^2: %s" % exc, [], {}
 
-    expected = c * _differ_quadratic(which, d[c_key], p1, p2, c) / 64
+    C, _ = cubic_form("spin", k, ring)
+    expected = c * _differ_quadratic(which, C, p1, p2, c) / 64
     witness = _sides_witness(
         lambda diff: _poly_witness(diff) and "closed form mismatch: %s" % diff, delta, expected
     )
@@ -502,7 +497,7 @@ def verify_differ(which, cap=12):
     # are taken on the ten-dimensional side instead of restricted.
     gu = ru.gens()
     tp1, tp2, tx, e = gu["tP1"], gu["tP2"], gu["tx"], gu["e"]
-    shift = 2 * tx if which == "differ1" else tx
+    shift = k * tx
     readings = {
         "intrinsic p, restricted C": (tp1 + e * e) / 2 + shift,
         "intrinsic p and C": tp1 / 2 + shift,
@@ -552,45 +547,36 @@ def _sides_witness(witness_of, lhs, rhs):
     return witness_of(lhs - rhs)
 
 
-def theorem_sides(reg_id, ring):
-    """LHS quadratic-form display and RHS index display of a main identity."""
-    d = derived_classes(ring)
-    g = ring.gens()
-    p1, p2 = g["p1"], g["p2"]
-    ahat, lhat = _weight_class("spin", ring), _weight_class("orient", ring)
-    ch_t = _tangent(ring)
-    ch_v = _e8_bundle(ring)
-    ch_xi = line_pair_ch(g["c"])
-    half_c = _exp_half_c(ring)
+#: Each main identity as (base, E8 copies k, weight of the cubic form L Q,
+#: weight of the index density).
+_THEOREMS = {
+    "wfh_main": ("spin", 2, Fraction(1, 48), Fraction(1, 4)),
+    "spin_new": ("spin", 1, Fraction(1, 24), Fraction(1, 2)),
+    "spinc_main": ("spinc", 2, Fraction(1, 24), Fraction(1, 2)),
+    "spinc_new": ("spinc", 1, Fraction(1, 12), Fraction(1)),
+    "o1": ("orient", 2, Fraction(1, 6), Fraction(1, 32)),
+    "o2": ("orient", 1, Fraction(1, 3), Fraction(1, 16)),
+}
 
-    if reg_id == "wfh_main":
-        lhs = d["C"] * (d["p"] - d["C"] ** 2) / 48
-        rhs = ahat * (ch_v / 2 + ch_t / 4 - 1)
-    elif reg_id == "spin_new":
-        lhs = d["Ct"] * (d["pt"] + 6 * d["lam"] * d["Ct"] - 4 * d["Ct"] ** 2) / 24
-        rhs = ahat * (ch_v / 2 + ch_t / 2 + 122)
-    elif reg_id == "spinc_main":
-        lhs = d["C_c"] * (d["p_c"] - d["C_c"] ** 2) / 24
-        rhs = ahat * half_c * (ch_v + ch_t / 2 - (ch_xi * ch_xi - ch_xi + 2) / 2)
-    elif reg_id == "spinc_new":
-        lhs = d["Ct_c"] * (d["pt_c"] + 6 * d["lam_c"] * d["Ct_c"] - 4 * d["Ct_c"] ** 2) / 12
-        rhs = ahat * half_c * (ch_v + ch_t + (-(ch_xi * ch_xi) + ch_xi + 246))
-    elif reg_id == "o1":
-        ch_diff = -vb_adams(_tangent(ring), 2)
-        lhs = d["D"] * (4 * p1 * p1 - 7 * p2 - d["D"] ** 2) / 6
-        rhs = lhat * (2 * ch_v + 2 * ch_t + ch_diff - 4) / 32
-    elif reg_id == "o2":
-        ch_diff = -vb_adams(_tangent(ring), 2)
-        lhs = d["Dt"] * (p1 * p1 - 7 * p2 - 6 * p1 * d["Dt"] - 4 * d["Dt"] ** 2) / 3
-        rhs = lhat * (ch_v + 2 * ch_t + ch_diff + 244) / 16
-    else:
+THEOREM_IDS = tuple(_THEOREMS)
+
+
+def theorem_sides(reg_id, ring):
+    """Degree-12 parts of a main identity: the weighted cubic form L Q
+    (LHS) and the weighted index density, the base's weight times the
+    index bundle k V + R + 504 - 248 k (RHS)."""
+    if reg_id not in _THEOREMS:
         raise ValueError("unknown identity %r" % (reg_id,))
+    base, k, form_weight, index_weight = _THEOREMS[reg_id]
+    L, Q = cubic_form(base, k, ring)
+    bundle = _index_bundle(k, _e8_bundle(ring), _q1_bundle(base, ring))
+    lhs = L * Q * form_weight
+    rhs = _weight_class(base, ring) * bundle * index_weight
     return lhs.homogeneous_part(12), rhs.homogeneous_part(12)
 
 
 def _check_theorem(reg_id, order, cap):
-    ring = default_ring(cap)
-    lhs, rhs = theorem_sides(reg_id, ring)
+    lhs, rhs = theorem_sides(reg_id, default_ring(cap))
     return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
 
 
@@ -615,8 +601,7 @@ def _check_fact(reg_id, order, cap):
 
 
 def _check_deg8(reg_id, order, cap):
-    ring = default_ring(cap)
-    lhs, rhs = deg8_display_sides(reg_id, ring)
+    lhs, rhs = deg8_display_sides(reg_id, default_ring(cap))
     return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
 
 
@@ -645,17 +630,15 @@ def _check_sqrt(reg_id, order, cap):
     return _sides_witness(_series_witness, qs_mul(r_c, r_c), qs_mul(q_c, w_c)), [], [], {}
 
 
+#: The base whose Witten series b1_check and d1_check expand.
+_Q1_BASES = {"b1_check": "spinc", "d1_check": "orient"}
+
+
 def q1_bundle_sides(reg_id, ring):
-    """Character of the q^1 coefficient of the expansion (LHS) and of the
-    displayed bundle (RHS) of b1_check or d1_check."""
-    b = display_bundles(ring)
-    if reg_id == "b1_check":
-        series = witten_character("ThetaTwisted", [b["T"], b["xi"]], 1)
-        expected = b["B1"]
-    else:
-        series = witten_character("Phi", [b["T"]], 1)
-        expected = b["D1"]
-    return series.coefficient(1), expected
+    """Character of the q^1 coefficient of the base's Witten series (LHS)
+    and of the displayed bundle B1 or D1 (RHS)."""
+    base = _Q1_BASES[reg_id]
+    return _witten_series(base, ring, 1).coefficient(1), _q1_bundle(base, ring)
 
 
 def _check_q1_bundle(reg_id, order, cap):
@@ -736,37 +719,24 @@ def _check_differ(reg_id, order, cap):
     return witness, findings, [], data
 
 
-#: Every registry id, in report order, with its check.  A check takes
-#: ``(reg_id, order, cap)`` and returns ``(witness, findings, assumptions,
-#: data)``; it reaches the side builders through this module's globals.
+#: Every registry id, in report order, with its check; the ids of a
+#: settings table keep its order.  A check takes ``(reg_id, order, cap)``
+#: and returns ``(witness, findings, assumptions, data)``; it reaches the
+#: side builders through this module's globals.
 _CHECKS = {
-    "wfh_main": _check_theorem,
-    "spin_new": _check_theorem,
-    "spinc_main": _check_theorem,
-    "spinc_new": _check_theorem,
-    "o1": _check_theorem,
-    "o2": _check_theorem,
-    "fact_spinc_q": _check_fact,
-    "fact_spinc_r": _check_fact,
-    "fact_orient_q": _check_fact,
-    "fact_orient_r": _check_fact,
-    "deg8_spinc_q": _check_deg8,
-    "deg8_spinc_r": _check_deg8,
-    "deg8_orient_q": _check_deg8,
-    "deg8_orient_r": _check_deg8,
+    **dict.fromkeys(_THEOREMS, _check_theorem),
+    **dict.fromkeys(_FACT_SETTINGS, _check_fact),
+    **dict.fromkeys(DEG8_SETTINGS, _check_deg8),
     "bundle_xi_plus": _check_bundle,
     "bundle_xi_minus": _check_bundle,
     "sqrt_relation": _check_sqrt,
-    "b1_check": _check_q1_bundle,
-    "d1_check": _check_q1_bundle,
+    **dict.fromkeys(_Q1_BASES, _check_q1_bundle),
     "pc_theorem": _check_pc,
     "mod2_orientable": _check_mod2_orientable,
-    "differ1": _check_differ,
-    "differ2": _check_differ,
+    **dict.fromkeys(DIFFER_SETTINGS, _check_differ),
 }
 
 REGISTRY_IDS = tuple(_CHECKS)
-THEOREM_IDS = REGISTRY_IDS[:6]
 
 
 def verify_identity(reg_id, order=6, cap=12):

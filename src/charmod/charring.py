@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .exactmath import GRID, NotInvertible, QExpSeries, _exp_nilpotent, qs_exp
 
@@ -31,10 +31,6 @@ class ArgumentError(ValueError):
     """An argument is outside the supported range."""
 
 
-class ParityError(ValueError):
-    """A root function has an odd-degree term; only even functions are allowed."""
-
-
 class SpecError(ValueError):
     """Unknown twist-bundle specification id."""
 
@@ -49,8 +45,8 @@ class PolyRing:
 
     ``generators`` maps generator names to positive integer degrees; the
     insertion order fixes the exponent-tuple layout and the display order.
-    Monomials of total degree above ``cap`` are discarded on construction,
-    so every element is automatically truncated.
+    Monomials of total degree above ``cap``, which must be at least 0, are
+    discarded on construction, so every element is automatically truncated.
 
     Monomials are packed into one int each, as in the packed monomials of
     Monagan & Pearce ("Sparse polynomial multiplication and division in
@@ -76,13 +72,15 @@ class PolyRing:
             raise ValueError("generator degrees must be positive integers: %r" % (self.degrees,))
         self.names = tuple(self.degrees)
         self.cap = int(cap)
+        if self.cap < 0:
+            raise ValueError("the degree cap must be at least 0, got %d" % self.cap)
         self.key = ("graded", tuple(self.degrees.items()), self.cap)
         self._index = {name: i for i, name in enumerate(self.names)}
         # (offset, mask) of each generator's exponent field, last one lowest
         self._fields = []
         shift = 0
         for degree in reversed(self.degrees.values()):
-            width = max(self.cap // degree, 0).bit_length()
+            width = (self.cap // degree).bit_length()
             self._fields.insert(0, (shift, (1 << width) - 1))
             shift += width
         self._shift = shift
@@ -243,15 +241,15 @@ class GradedPoly:
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("negative powers go through inverse()")
-        out = self.ring.one()
+        out = None
         base = self
         while exponent:
             if exponent & 1:
-                out = out * base
+                out = base if out is None else out * base
             exponent >>= 1
             if exponent:
                 base = base * base
-        return out
+        return self.ring.one() if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -423,36 +421,25 @@ def power_sums_from_pontryagin(pontryagin, count):
     return out
 
 
-# log f(y) coefficients, keyed by the power of y, for the two root functions:
+# log f(y) coefficients of y^2, y^4, y^6 for the two root functions:
 #   Ahat root  (y/2)/sinh(y/2):      -y^2/24 + y^4/2880 - y^6/181440
 #   Lhat root  y/tanh(y/2) = 2*...:   y^2/12 - 7 y^4/1440 + 31 y^6/90720  (plus log 2)
 _ROOT_LOG_COEFFS = {
-    "Ahat": {2: Fraction(-1, 24), 4: Fraction(1, 2880), 6: Fraction(-1, 181440)},
-    "Lhat": {2: Fraction(1, 12), 4: Fraction(-7, 1440), 6: Fraction(31, 90720)},
+    "Ahat": (Fraction(-1, 24), Fraction(1, 2880), Fraction(-1, 181440)),
+    "Lhat": (Fraction(1, 12), Fraction(-7, 1440), Fraction(31, 90720)),
 }
 
 #: constant value of the root function at y = 0 (multiplied once per root)
 _ROOT_CONSTANT = {"Ahat": Fraction(1), "Lhat": Fraction(2)}
 
 
-def log_series_in_power_sums(log_coeffs, power_sums):
-    """sum over roots of log f(x_j) written in power sums of squared roots.
-
-    ``log_coeffs`` maps powers of y to rational coefficients; odd powers
-    raise ParityError because the power sums only see squared roots.
-    """
-    total = None
-    for y_power, coeff in log_coeffs.items():
-        if y_power % 2 != 0 or y_power <= 0:
-            raise ParityError("root function has forbidden y^%d term" % y_power)
-        k = y_power // 2
-        if k > len(power_sums):
-            continue
-        piece = power_sums[k - 1] * coeff
-        total = piece if total is None else total + piece
-    if total is None:
-        raise ParityError("empty root function log")
-    return total
+def _power_sums(ring, pontryagin_names):
+    """The power sums pi_1, pi_2, ... of squared roots that ``ring`` holds:
+    one per Pontryagin generator present, at most three, and at most
+    cap // 4 (but at least one)."""
+    available = [ring.gen(n) for n in pontryagin_names if n in ring.degrees]
+    count = min(3, len(available), max(1, ring.cap // 4))
+    return power_sums_from_pontryagin(available, count)
 
 
 def multiplicative_class(kind, dim, ring, pontryagin_names=("p1", "p2", "p3")):
@@ -461,16 +448,16 @@ def multiplicative_class(kind, dim, ring, pontryagin_names=("p1", "p2", "p3")):
     ``kind`` is "Ahat" or "Lhat"; ``dim`` in {10, 12} sets the number of
     roots (dim/2), which only enters through the constant factor
     f(0)**(dim/2).  Pontryagin generators missing from ``ring`` are treated
-    as killed by the degree cap.
+    as killed by the degree cap.  The sum over the roots of log f is
+    sum_k a_k pi_k, with a_k the coefficient of y^(2k) in log f.
     """
     if dim not in (10, 12):
         raise DimError("dimension must be 10 or 12, got %r" % (dim,))
     if kind not in _ROOT_LOG_COEFFS:
         raise ArgumentError("unknown multiplicative class %r" % (kind,))
-    available = [ring.gen(n) for n in pontryagin_names if n in ring.degrees]
-    count = min(3, len(available), max(1, ring.cap // 4))
-    sums = power_sums_from_pontryagin(available, count)
-    log_part = log_series_in_power_sums(_ROOT_LOG_COEFFS[kind], sums)
+    log_part = ring.zero()
+    for pi_k, a_k in zip(_power_sums(ring, pontryagin_names), _ROOT_LOG_COEFFS[kind]):
+        log_part = log_part + pi_k * a_k
     value = _exp_nilpotent(log_part)
     constant = _ROOT_CONSTANT[kind] ** (dim // 2)
     return value * constant
@@ -487,17 +474,13 @@ def multiplicative_class(kind, dim, ring, pontryagin_names=("p1", "p2", "p3")):
 
 
 def ch_tangent(dim, ring, pontryagin_names=("p1", "p2", "p3")):
-    """Complexified tangent character: dim + pi_1 + pi_2/12 + pi_3/360."""
+    """Complexified tangent character: the sum of exp(y) + exp(-y) over the
+    roots, dim + sum_k 2 pi_k / (2k)! = dim + pi_1 + pi_2/12 + pi_3/360."""
     if dim not in (10, 12):
         raise DimError("dimension must be 10 or 12, got %r" % (dim,))
-    available = [ring.gen(n) for n in pontryagin_names if n in ring.degrees]
-    count = min(3, len(available), max(1, ring.cap // 4))
-    sums = power_sums_from_pontryagin(available, count)
-    ch = ring.constant(dim) + sums[0]
-    if count >= 2:
-        ch = ch + sums[1] * Fraction(1, 12)
-    if count >= 3:
-        ch = ch + sums[2] * Fraction(1, 360)
+    ch = ring.constant(dim)
+    for k, pi_k in enumerate(_power_sums(ring, pontryagin_names), 1):
+        ch = ch + pi_k * Fraction(2, factorial(2 * k))
     return ch
 
 
@@ -561,8 +544,6 @@ _WITTEN_SPECS = {
     "Theta3": ((0, _THETA3),),
     "Phi": ((0, _THETA), (0, _THETA1), (0, _THETA2), (0, _THETA3)),
 }
-
-WITTEN_SPEC_IDS = tuple(_WITTEN_SPECS)
 
 
 def _reduced(ch):

@@ -111,12 +111,16 @@ def _series_lines(series):
 def _cmd_expand(args):
     if args.order < 0:
         raise UsageError("--order must be at least 0, got %d" % args.order)
+    try:
+        ring = default_ring(args.cap)
+    except ValueError as exc:
+        raise UsageError("--cap: %s" % exc)
     name = args.class_name
     if name in ("Ahat", "Lhat"):
-        poly = multiplicative_class(name, 12, default_ring(args.cap))
+        poly = multiplicative_class(name, 12, ring)
         _emit(str(poly), args)
         return EXIT_PASS
-    series = build_twisted_class(name, args.order, default_ring(args.cap))
+    series = build_twisted_class(name, args.order, ring)
     _emit("\n".join(_series_lines(series)), args)
     return EXIT_PASS
 

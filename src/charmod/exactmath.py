@@ -184,15 +184,15 @@ class QExpSeries:
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("negative series powers go through qs_inv")
-        result = QExpSeries.one(self.ring, self.order)
+        result = None
         base = self
         while exponent:
             if exponent & 1:
-                result = qs_mul(result, base)
+                result = base if result is None else qs_mul(result, base)
             exponent >>= 1
             if exponent:
                 base = qs_mul(base, base)
-        return result
+        return QExpSeries.one(self.ring, self.order) if result is None else result
 
     def scale(self, coeff):
         """Multiply every coefficient by a fixed ring element or rational."""

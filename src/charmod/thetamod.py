@@ -336,11 +336,16 @@ def numeric_transform_check(kind, v, tau, terms=40, tol=1e-8):
 
     Returns a dict with both residuals, the estimated truncation tail, and
     a ``passed`` flag (residuals below ``tol``).  Raises ArgumentError off
-    the upper half-plane and PrecisionError when the truncation tail cannot
+    the upper half-plane, for ``terms`` < 1 and for a ``tol`` that is not
+    finite and positive, and PrecisionError when the truncation tail cannot
     be pushed below tol/10 for every series involved.
     """
     if kind not in NUMERIC_KINDS:
         raise ArgumentError("unknown kind %r" % (kind,))
+    if terms < 1:
+        raise ArgumentError("terms must be at least 1, got %d" % terms)
+    if not 0 < tol < float("inf"):
+        raise ArgumentError("tol must be finite and positive, got %r" % tol)
     tau = complex(tau)
     if tau.imag <= 0:
         raise ArgumentError("tau must be in the upper half-plane")

@@ -18,8 +18,8 @@ from charmod.anomaly import (
     boundary_ring,
     boundary_tanh_term,
     build_twisted_class,
+    cubic_form,
     degree_part_series,
-    derived_classes,
     display_bundles,
     exp_minus_one_over,
     mod2_reduce,
@@ -38,8 +38,47 @@ from charmod.charring import (
     multiplicative_class,
     witten_expand,
 )
-from charmod.exactmath import QExpSeries, qs_mul
+from charmod.exactmath import QExpSeries, _exp_nilpotent, qs_mul
 from charmod.thetamod import modular_basis
+
+
+def _paper_forms(ring):
+    """The paper's cubic forms L * Q as (L, Q) for each (base, E8 copies),
+    written out from its literal building blocks."""
+    g = ring.gens()
+    p1, p2, c, x = g["p1"], g["p2"], g["c"], g["x"]
+    lam = p1 * Fraction(1, 2)
+    p = (p2 - lam * lam) * Fraction(1, 2)
+    pt = p - 3 * lam * lam
+    lam_c = (p1 - 3 * c * c) * Fraction(1, 2)
+    p_c = (4 * p2 - p1 * p1 - 6 * p1 * c * c + 39 * c ** 4) * Fraction(1, 8)
+    pt_c = p_c - 3 * lam_c * lam_c
+    C, Ct = lam + 2 * x, lam + x
+    C_c, Ct_c = lam_c + 2 * x, lam_c + x
+    D, Dt = -p1 + 2 * x, -p1 + x
+    return {
+        ("spin", 2): (C, p - C * C),
+        ("spin", 1): (Ct, pt + 6 * lam * Ct - 4 * Ct * Ct),
+        ("spinc", 2): (C_c, p_c - C_c * C_c),
+        ("spinc", 1): (Ct_c, pt_c + 6 * lam_c * Ct_c - 4 * Ct_c * Ct_c),
+        ("orient", 2): (D, 4 * p1 * p1 - 7 * p2 - D * D),
+        ("orient", 1): (Dt, p1 * p1 - 7 * p2 - 6 * p1 * Dt - 4 * Dt * Dt),
+    }
+
+
+def _paper_bundles(ring):
+    """The paper's index bundles for each (base, E8 copies), written out
+    from T, V and xi: the spin ones and frakA-frakD."""
+    b = display_bundles(ring)
+    T, V, xi_t, lam2, sym2 = b["T"], b["V"], b["xi_t"], b["lam2"], b["sym2"]
+    return {
+        ("spin", 2): 2 * V + T - 4,
+        ("spin", 1): V + T + 244,
+        ("spinc", 2): 2 * V + T - 4 - 3 * xi_t - xi_t * xi_t,
+        ("spinc", 1): V + T + 244 - 3 * xi_t - xi_t * xi_t,
+        ("orient", 2): 2 * V + 2 * T + lam2 - sym2 - 4,
+        ("orient", 1): V + 2 * T + lam2 - sym2 + 244,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +220,44 @@ def test_twisted_identities_specialize_to_plain():
 
 
 # ----------------------------------------------------------------------
+# the two rules: cubic forms and index bundles from (base, E8 copies)
+# ----------------------------------------------------------------------
+
+
+FORM_KEYS = [(base, k) for base in ("spin", "spinc", "orient") for k in (1, 2)]
+
+
+@pytest.mark.parametrize("base, k", FORM_KEYS)
+def test_cubic_form_matches_the_paper(base, k):
+    ring = default_ring()
+    assert cubic_form(base, k, ring) == _paper_forms(ring)[(base, k)]
+
+
+@pytest.mark.parametrize("base, k", FORM_KEYS)
+def test_index_bundle_matches_the_paper(base, k):
+    ring = default_ring()
+    v = display_bundles(ring)["V"]
+    bundle = anomaly._index_bundle(k, v, anomaly._q1_bundle(base, ring))
+    assert bundle == _paper_bundles(ring)[(base, k)]
+    assert bundle.constant_term() == 504
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_cosh_half_c_weight_matches_exp_half_c_in_degrees_8_and_12(k):
+    # the spin^c displays carry Ahat exp(c/2); the registry uses the weight
+    # Ahat cosh(c/2), which differs from it by the odd part sinh(c/2)
+    ring = default_ring()
+    bundle = ring.one() if k is None else _paper_bundles(ring)[("spinc", k)]
+    ahat_exp = multiplicative_class("Ahat", 12, ring) * _exp_nilpotent(ring.gen("c") / 2)
+    exp_side = ahat_exp * bundle
+    cosh_side = anomaly._weight_class("spinc", ring) * bundle
+    for degree in (8, 12):
+        assert exp_side.homogeneous_part(degree) == cosh_side.homogeneous_part(degree)
+    # control: the two weights do differ, in degree 10
+    assert exp_side.homogeneous_part(10) != cosh_side.homogeneous_part(10)
+
+
+# ----------------------------------------------------------------------
 # twisted classes: routes, square relation, modular matching
 # ----------------------------------------------------------------------
 
@@ -252,10 +329,11 @@ def _exp_over_24(k_poly):
 
 
 SPLIT_SETTINGS = {
-    "Qc": ("frakA", 24, True),
-    "Rc": ("frakB", 264, True),
-    "QL": ("frakC", 24, False),
-    "RL": ("frakD", 264, False),
+    # kind: ((base, E8 copies) of its displayed bundle, q^1/q^0 ratio, spin^c)
+    "Qc": (("spinc", 2), 24, True),
+    "Rc": (("spinc", 1), 264, True),
+    "QL": (("orient", 2), 24, False),
+    "RL": (("orient", 1), 264, False),
 }
 
 
@@ -275,7 +353,7 @@ def test_split_defect_rearrangement(kind):
         weight = multiplicative_class("Ahat", 12, ring) * _cosh_half(ring)
     else:
         weight = multiplicative_class("Lhat", 12, ring)
-    bundle = display_bundles(ring)[bundle_key]
+    bundle = _paper_bundles(ring)[bundle_key]
     K = prefactor_exponent(kind, ring)
     u = exp_minus_one_over(K)
     brace8 = (-(u * weight * bundle) + _exp_over_24(K) * weight).homogeneous_part(8)
@@ -298,15 +376,17 @@ def test_exp_minus_one_over():
 
 
 def test_display_bundle_ranks_and_identities():
-    b = display_bundles(default_ring())
+    ring = default_ring()
+    b = display_bundles(ring)
     assert b["B1"].constant_term() == 0
     assert b["D1"].constant_term() == 0
-    for key in ("frakA", "frakB", "frakC", "frakD"):
-        assert b[key].constant_term() == 504, key
-    assert (b["frakA"] - (b["B1"] + 2 * b["V"] + 8)).is_zero()
-    assert (b["frakB"] - (b["B1"] + b["V"] + 256)).is_zero()
-    assert (b["frakC"] - (b["D1"] + 2 * b["V"] + 8)).is_zero()
-    assert (b["frakD"] - (b["D1"] + b["V"] + 256)).is_zero()
+    bundles = _paper_bundles(ring)
+    for key, bundle in bundles.items():
+        assert bundle.constant_term() == 504, key
+    assert (bundles[("spinc", 2)] - (b["B1"] + 2 * b["V"] + 8)).is_zero()
+    assert (bundles[("spinc", 1)] - (b["B1"] + b["V"] + 256)).is_zero()
+    assert (bundles[("orient", 2)] - (b["D1"] + 2 * b["V"] + 8)).is_zero()
+    assert (bundles[("orient", 1)] - (b["D1"] + b["V"] + 256)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -412,25 +492,30 @@ def _quadratic(which, C, p1, p2, c):
     )
 
 
+#: Each comparison as its number of E8 copies.
+DIFFER_COPIES = {"differ1": 2, "differ2": 1}
+
+
+def _paper_gamma(which, ring):
+    """The spin^c cubic form minus the spin one, over 12, from the paper's
+    literal forms."""
+    forms = _paper_forms(ring)
+    k = DIFFER_COPIES[which]
+    (l_c, q_c), (l, q) = forms[("spinc", k)], forms[("spin", k)]
+    return (l_c * q_c - l * q) / 12
+
+
 @pytest.mark.parametrize("which", ["differ1", "differ2"])
 def test_differ_exact_form(which):
     # recompute the comparison from the published building blocks
     ring = default_ring()
     g = ring.gens()
     p1, p2, c = g["p1"], g["p2"], g["c"]
-    d = derived_classes(ring)
-    if which == "differ1":
-        gamma = (d["C_c"] * (d["p_c"] - d["C_c"] ** 2) - d["C"] * (d["p"] - d["C"] ** 2)) / 12
-        c_key = "C"
-    else:
-        gamma = (
-            d["Ct_c"] * (d["pt_c"] + 6 * d["lam_c"] * d["Ct_c"] - 4 * d["Ct_c"] ** 2)
-            - d["Ct"] * (d["pt"] + 6 * d["lam"] * d["Ct"] - 4 * d["Ct"] ** 2)
-        ) / 12
-        c_key = "Ct"
+    gamma = _paper_gamma(which, ring)
+    C = _paper_forms(ring)[("spin", DIFFER_COPIES[which])][0]
     delta = gamma.divide_by_gen("c")
     assert delta * c == gamma
-    assert delta == c * _quadratic(which, d[c_key], p1, p2, c) / 64
+    assert delta == c * _quadratic(which, C, p1, p2, c) / 64
 
 
 DIFFER_RESIDUALS = {
@@ -455,23 +540,13 @@ def test_differ_alternate_readings(which):
     assert witness == ""
     assert len(findings) == 2
 
-    ring = default_ring()
-    d = derived_classes(ring)
-    if which == "differ1":
-        gamma = (d["C_c"] * (d["p_c"] - d["C_c"] ** 2) - d["C"] * (d["p"] - d["C"] ** 2)) / 12
-        shift_steps = 2
-    else:
-        gamma = (
-            d["Ct_c"] * (d["pt_c"] + 6 * d["lam_c"] * d["Ct_c"] - 4 * d["Ct_c"] ** 2)
-            - d["Ct"] * (d["pt"] + 6 * d["lam"] * d["Ct"] - 4 * d["Ct"] ** 2)
-        ) / 12
-        shift_steps = 1
+    gamma = _paper_gamma(which, default_ring())
     ru = boundary_ring()
     gu = ru.gens()
     tp1, tp2, tx, e = gu["tP1"], gu["tP2"], gu["tx"], gu["e"]
     lhs_u = restrict_to_u(gamma.divide_by_gen("c"), ru)
 
-    shift = shift_steps * tx
+    shift = DIFFER_COPIES[which] * tx
     readings = {
         "intrinsic p, restricted C": (tp1 + e * e) / 2 + shift,
         "intrinsic p and C": tp1 / 2 + shift,

@@ -291,14 +291,42 @@ def test_ring_cap_truncates():
         lambda: PolyRing({"u": 1.5}),
         lambda: GradedPoly(default_ring(), {(1, 0): 1}),
         lambda: GradedPoly(default_ring(), {(1, 0, 0, 0, -1): 1}),
+        lambda: PolyRing({"u": 4}, cap=-1),
     ],
-    ids=["degree-0", "negative-degree", "fractional-degree", "short-exponents", "negative-exponent"],
+    ids=[
+        "degree-0",
+        "negative-degree",
+        "fractional-degree",
+        "short-exponents",
+        "negative-exponent",
+        "negative-cap",
+    ],
 )
 def test_ring_rejects_what_cannot_be_packed(make):
     with pytest.raises(ValueError):
         make()
     ring = default_ring()
     assert GradedPoly(ring, {(1, 0, 0, 0, 1): 2}) == 2 * ring.gen("p1") * ring.gen("x")
+
+
+@pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)])
+def test_poly_power_makes_no_product_by_one(monkeypatch, exponent, products):
+    # square-and-multiply from the base at the lowest set bit of the exponent
+    ring = default_ring()
+    poly = ring.one() + ring.gen("c") + ring.gen("p1") * Fraction(1, 3)
+    expected = ring.one()
+    for _ in range(exponent):
+        expected = expected * poly
+    dot = PolyRing.dot
+    calls = []
+
+    def counting_dot(self, pairs):
+        calls.append(len(pairs))
+        return dot(self, pairs)
+
+    monkeypatch.setattr(PolyRing, "dot", counting_dot)
+    assert poly ** exponent == expected
+    assert len(calls) == products
 
 
 def test_poly_inverse_and_division():

@@ -132,6 +132,13 @@ def test_expand_rejects_negative_order(capsys):
     assert "--order must be at least 0" in err
 
 
+def test_expand_rejects_negative_cap(capsys):
+    code, out, err = run_cli(capsys, "expand", "--class", "Qc", "--cap", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--cap" in err and "at least 0" in err
+
+
 # ----------------------------------------------------------------------
 # lattice
 # ----------------------------------------------------------------------
@@ -313,6 +320,27 @@ def test_theta_check_unparseable_tau(capsys):
     code, out, err = run_cli(capsys, "theta-check", "--kind", "theta", "--tau", "abc")
     assert code == EXIT_USAGE
     assert "cannot parse" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--terms", "0", "terms must be at least 1"),
+        ("--terms", "-5", "terms must be at least 1"),
+        ("--tol", "-1", "tol must be finite and positive"),
+        ("--tol", "0", "tol must be finite and positive"),
+        ("--tol", "nan", "tol must be finite and positive"),
+        ("--tol", "inf", "tol must be finite and positive"),
+    ],
+)
+def test_theta_check_rejects_meaningless_terms_and_tol(capsys, flag, value, message):
+    # a tol of inf would pass having checked nothing; the others cannot be met
+    code, out, err = run_cli(
+        capsys, "theta-check", "--kind", "theta", "--tau", "2i", flag + "=" + value
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
 
 
 def test_theta_check_precision_exit(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charmod import exactmath
 from charmod.charring import default_ring
 from charmod.exactmath import (
     GRID,
@@ -75,6 +76,24 @@ def test_mul_matches_cauchy_product():
 def test_mul_mixed_grid_support():
     half = QExpSeries(RAT_RING, 2, {12: Fraction(1)})
     assert qs_mul(half, half).coefficient(1) == 1
+
+
+@pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)])
+def test_power_makes_no_product_by_one(monkeypatch, exponent, products):
+    # square-and-multiply from the base at the lowest set bit of the exponent
+    s = series([1, 2, -1, 3], order=6)
+    expected = QExpSeries.one(RAT_RING, 6)
+    for _ in range(exponent):
+        expected = qs_mul(expected, s)
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return qs_mul(a, b)
+
+    monkeypatch.setattr(exactmath, "qs_mul", counting_mul)
+    assert s ** exponent == expected
+    assert len(calls) == products
 
 
 def test_inverse_of_phi_like_unit():
