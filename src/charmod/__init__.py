@@ -49,6 +49,7 @@ from .thetamod import (
     PrecisionError,
     e8_character,
     e8_lattice_theta,
+    e8_theta_sum,
     eisenstein,
     match_modular_basis,
     numeric_transform_check,

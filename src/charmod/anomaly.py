@@ -17,17 +17,18 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .exactmath import GRID, QExpSeries, _exp_nilpotent, qs_exp, qs_mul
+from .exactmath import GRID, QExpSeries, _exp_nilpotent, _nilpotent_sum, qs_mul
 from .charring import (
     ArgumentError,
     PolyRing,
-    _accumulate,
     _poly,
     calibrate_e8_roots,
     ch_tangent,
     default_ring,
     e8_ch,
+    exp_combination,
     line_pair_ch,
     multiplicative_class,
     power_sums_from_pontryagin,
@@ -36,11 +37,9 @@ from .charring import (
 )
 from .thetamod import (
     NotProportional,
-    e8_character,
+    e8_theta_sum,
     eisenstein,
     match_modular_basis,
-    phi,
-    series_in_ring,
     theta_log_ratio,
 )
 
@@ -135,10 +134,10 @@ def _e8_bundle(ring):
 
 
 @lru_cache(maxsize=None)
-def _e8_char_series(ring, order):
-    """Full character q-series of the calibrated rank-248 bundle."""
-    g = calibrate_e8_roots(ring.gen("x"))
-    return e8_character(g, order)
+def _e8_theta_sum(ring, order):
+    """phi^8 times the character q-series of the calibrated rank-248
+    bundle: the E8 factor of a twisted class, one per copy."""
+    return e8_theta_sum(calibrate_e8_roots(ring.gen("x")), order)
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +187,9 @@ def prefactor_exponent(kind, ring):
 
 
 def _prefactor_series(kind, order, ring):
-    exponent_poly = prefactor_exponent(kind, ring) * Fraction(1, 24)
-    e2 = eisenstein(2, order)
-    terms = {k: exponent_poly * coeff for k, coeff in e2.terms.items()}
-    return qs_exp(QExpSeries(ring, order, terms))
+    """exp((1/24) E2 K) of a class."""
+    pairs = [(eisenstein(2, order), prefactor_exponent(kind, ring) * Fraction(1, 24))]
+    return exp_combination(pairs, ring, order)
 
 
 @lru_cache(maxsize=None)
@@ -216,21 +214,13 @@ def _core_theta(base, order, ring):
     """The weighted Witten series of a base from the theta log-ratios."""
     g = ring.gens()
     sums = power_sums_from_pontryagin([g["p1"], g["p2"], g["p3"]], 3)
-    log_terms = {}
-
-    def add(series, poly):
-        for grid_key, coeff in series.terms.items():
-            _accumulate(log_terms, grid_key, poly * coeff)
-
     tangent_kind = "lhat" if base == "orient" else "theta"
-    for c_k, pi_k in zip(theta_log_ratio(tangent_kind, order), sums):
-        add(c_k, pi_k)
+    pairs = list(zip(theta_log_ratio(tangent_kind, order), sums))
     if base == "spinc":
+        c_powers = [g["c"] ** 2, g["c"] ** 4, g["c"] ** 6]
         for kind_name in ("theta1", "theta2", "theta3"):
-            for i, c_k in enumerate(theta_log_ratio(kind_name, order)):
-                add(c_k, g["c"] ** (2 * (i + 1)))
-
-    out = qs_exp(QExpSeries(ring, order, log_terms))
+            pairs += zip(theta_log_ratio(kind_name, order), c_powers)
+    out = exp_combination(pairs, ring, order)
     # the per-root constant 2 of the Lhat root function, over six roots
     return out.scale(64) if base == "orient" else out
 
@@ -255,9 +245,7 @@ def build_twisted_class(kind, order, ring=None, route="adams"):
         core = _core_theta(base, order, ring)
     out = qs_mul(_prefactor_series(kind, order, ring), core)
     if copies:
-        chv = _e8_char_series(ring, order)
-        tail = qs_mul(series_in_ring(phi(order) ** (8 * copies), ring), chv ** copies)
-        out = qs_mul(out, tail)
+        out = qs_mul(out, _e8_theta_sum(ring, order) ** copies)
     return out
 
 
@@ -347,16 +335,7 @@ def exp_minus_one_over(k_poly):
     """
     if k_poly.constant_term() != 0:
         raise ValueError("K must have zero constant term")
-    out = k_poly.ring.zero()
-    power = k_poly.ring.one()
-    factorial = 1
-    j = 1
-    while not power.is_zero():
-        factorial *= j
-        out = out + power * Fraction(1, 24 ** j * factorial)
-        power = power * k_poly
-        j += 1
-    return out
+    return _nilpotent_sum(k_poly, lambda j: Fraction(1, 24 ** (j + 1) * factorial(j + 1)))
 
 
 #: Each degree-8 display as (class kind, weight of its cubic-form side).
@@ -486,9 +465,9 @@ def verify_differ(which, cap=12):
 
     C, _ = cubic_form("spin", k, ring)
     expected = c * _differ_quadratic(which, C, p1, p2, c) / 64
-    witness = _sides_witness(
-        lambda diff: _poly_witness(diff) and "closed form mismatch: %s" % diff, delta, expected
-    )
+    witness = _witness(delta, expected)
+    if delta != expected:
+        witness = "closed form mismatch: " + witness
 
     ru = boundary_ring()
     lhs_u = restrict_to_u(delta, ru)
@@ -528,23 +507,20 @@ _FACT_SETTINGS = {
 }
 
 
-def _poly_witness(diff):
-    return "" if diff.is_zero() else str(diff)
-
-
-def _series_witness(diff):
-    if diff.is_zero():
-        return ""
-    grid_key = min(k for k, v in diff.terms.items() if not v.is_zero())
-    return "q^(%s): %s" % (Fraction(grid_key, GRID), diff.terms[grid_key])
-
-
-def _sides_witness(witness_of, lhs, rhs):
-    """``witness_of(lhs - rhs)``, or a failure when both sides are 0: an
-    identity that holds as 0 = 0 has checked nothing."""
+def _witness(lhs, rhs):
+    """The discrepancy between two sides, polynomials or q-series: "" when
+    they are equal, and a failure when both are 0, since an identity that
+    holds as 0 = 0 has checked nothing.  Otherwise the difference, for a
+    series at its lowest power of q."""
     if lhs.is_zero() and rhs.is_zero():
         return "both sides are 0"
-    return witness_of(lhs - rhs)
+    diff = lhs - rhs
+    if diff.is_zero():
+        return ""
+    if isinstance(diff, QExpSeries):
+        grid_key = min(diff.terms)
+        return "q^(%s): %s" % (Fraction(grid_key, GRID), diff.terms[grid_key])
+    return str(diff)
 
 
 #: Each main identity as (base, E8 copies k, weight of the cubic form L Q,
@@ -577,7 +553,7 @@ def theorem_sides(reg_id, ring):
 
 def _check_theorem(reg_id, order, cap):
     lhs, rhs = theorem_sides(reg_id, default_ring(cap))
-    return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
+    return _witness(lhs, rhs), [], [], {}
 
 
 def _check_fact(reg_id, order, cap):
@@ -602,7 +578,7 @@ def _check_fact(reg_id, order, cap):
 
 def _check_deg8(reg_id, order, cap):
     lhs, rhs = deg8_display_sides(reg_id, default_ring(cap))
-    return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
+    return _witness(lhs, rhs), [], [], {}
 
 
 def bundle_xi_sides(reg_id, ring):
@@ -619,7 +595,7 @@ def bundle_xi_sides(reg_id, ring):
 
 def _check_bundle(reg_id, order, cap):
     lhs, rhs = bundle_xi_sides(reg_id, default_ring(cap))
-    return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
+    return _witness(lhs, rhs), [], [], {}
 
 
 def _check_sqrt(reg_id, order, cap):
@@ -627,7 +603,7 @@ def _check_sqrt(reg_id, order, cap):
     r_c = build_twisted_class("Rc", order, ring)
     q_c = build_twisted_class("Qc", order, ring)
     w_c = build_twisted_class("Wc", order, ring)
-    return _sides_witness(_series_witness, qs_mul(r_c, r_c), qs_mul(q_c, w_c)), [], [], {}
+    return _witness(qs_mul(r_c, r_c), qs_mul(q_c, w_c)), [], [], {}
 
 
 #: The base whose Witten series b1_check and d1_check expand.
@@ -643,7 +619,7 @@ def q1_bundle_sides(reg_id, ring):
 
 def _check_q1_bundle(reg_id, order, cap):
     lhs, rhs = q1_bundle_sides(reg_id, default_ring(cap))
-    return _sides_witness(_poly_witness, lhs, rhs), [], [], {}
+    return _witness(lhs, rhs), [], [], {}
 
 
 def _compare_residues(cases, images, problems):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
 
-from .exactmath import GRID, NotInvertible, QExpSeries, _exp_nilpotent, qs_exp
+from .exactmath import GRID, NotInvertible, QExpSeries, _exp_nilpotent, _nilpotent_sum, _power, qs_exp
 
 
 class DegreeError(ValueError):
@@ -241,15 +241,7 @@ class GradedPoly:
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("negative powers go through inverse()")
-        out = None
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = base if out is None else out * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return self.ring.one() if out is None else out
+        return _power(self, exponent, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,14 +290,7 @@ class GradedPoly:
         if c0 == 0:
             raise NotInvertible("constant term is zero")
         rest = (self - c0) * (Fraction(1) / c0)
-        acc = self.ring.one()
-        power = self.ring.one()
-        while True:
-            power = power * (-rest)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * (Fraction(1) / c0)
+        return _nilpotent_sum(rest, lambda j: (-1) ** j) * (Fraction(1) / c0)
 
     def divide_by_gen(self, name):
         """Exact division by a generator; every monomial must contain it."""
@@ -559,6 +544,16 @@ def _accumulate(terms, key, piece):
         terms[key] = terms[key] + piece
     else:
         terms[key] = piece
+
+
+def exp_combination(pairs, ring, order):
+    """exp(sum_i s_i(q) P_i) truncated at q^order, for ``(s_i, P_i)`` pairs
+    of a rational q-series and an element of ``ring``."""
+    terms = {}
+    for series, element in pairs:
+        for grid_key, coeff in series.terms.items():
+            _accumulate(terms, grid_key, element * coeff)
+    return qs_exp(QExpSeries(ring, order, terms))
 
 
 def witten_character(spec_id, inputs, order):

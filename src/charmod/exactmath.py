@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import factorial, lcm
 
 #: Denominator of the exponent grid.  Every exponent is k/GRID with k an
 #: integer, which accommodates q**(1/24), q**(1/8) and q**(1/2) exactly.
@@ -184,15 +184,7 @@ class QExpSeries:
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("negative series powers go through qs_inv")
-        result = None
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else qs_mul(result, base)
-            exponent >>= 1
-            if exponent:
-                base = qs_mul(base, base)
-        return QExpSeries.one(self.ring, self.order) if result is None else result
+        return _power(self, exponent, QExpSeries.one(self.ring, self.order))
 
     def scale(self, coeff):
         """Multiply every coefficient by a fixed ring element or rational."""
@@ -221,29 +213,23 @@ class QExpSeries:
             and other.terms == self.terms
         )
 
-    def __hash__(self):
-        return hash((self.ring.key, self.order, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
     def __repr__(self):
-        return "QExpSeries(order=%d, %s)" % (self.order, self._render())
+        return "QExpSeries(order=%d, terms=%r)" % (self.order, dict(sorted(self.terms.items())))
 
-    def __str__(self):
-        return self._render()
 
-    def _render(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k in sorted(self.terms):
-            exp = Fraction(k, GRID)
-            coeff = self.terms[k]
-            if exp == 0:
-                pieces.append("(%s)" % (coeff,))
-            elif exp.denominator == 1:
-                pieces.append("(%s)*q^%d" % (coeff, exp.numerator))
-            else:
-                pieces.append("(%s)*q^(%s)" % (coeff, exp))
-        return " + ".join(pieces)
+def _power(base, exponent, one):
+    """``base ** exponent`` for an exponent >= 0 by square-and-multiply,
+    starting from the base at the lowest set bit, so no product by ``one``
+    is made; ``one`` is returned for exponent 0.  Serves both series and
+    `GradedPoly` powers."""
+    out = None
+    while exponent:
+        if exponent & 1:
+            out = base if out is None else out * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return one if out is None else out
 
 
 def qs_mul(a, b):
@@ -295,37 +281,28 @@ def qs_inv(a):
     return QExpSeries.from_q_coeffs(a.ring, a.order, out)
 
 
+def _nilpotent_sum(r, coeff):
+    """sum_{j>=0} coeff(j) r^j for a nilpotent `GradedPoly` r, summed until
+    the power of r vanishes.  A `GradedPoly` with zero constant term is
+    nilpotent: generator degrees are positive, so its powers pass the
+    ring's degree cap."""
+    acc = r.ring.zero()
+    power = r.ring.one()
+    j = 0
+    while not power.is_zero():
+        acc = acc + power * coeff(j)
+        power = power * r
+        j += 1
+    return acc
+
+
 def _exp_nilpotent(element):
     """exp of a nilpotent ring element, a `GradedPoly` with zero constant
-    term, as a finite sum.  Generator degrees are positive, so such an
-    element is nilpotent under the ring's degree cap."""
+    term, as a finite sum."""
     c0 = element.constant_term()
     if c0 != 0:
         raise NotExponentiable("exp needs a zero constant term, got %s" % c0)
-    acc = term = element.ring.one()
-    k = 1
-    while True:
-        term = term * element * Fraction(1, k)
-        if term.is_zero():
-            return acc
-        acc = acc + term
-        k += 1
-
-
-def _log_one_plus_nilpotent(ring, element):
-    """log(1 + element) for nilpotent element, as a finite sum."""
-    acc = ring.zero()
-    power = ring.one()
-    k = 1
-    zero = ring.zero()
-    while True:
-        power = power * element
-        if power == zero:
-            return acc
-        acc = acc + power * Fraction((-1) ** (k + 1), k)
-        k += 1
-        if k > 10000:
-            raise NotExponentiable("q^0 coefficient does not appear nilpotent")
+    return _nilpotent_sum(element, lambda j: Fraction(1, factorial(j)))
 
 
 def qs_exp(a):
@@ -377,7 +354,8 @@ def qs_log(a):
         head = ring.zero()  # log(1) == 0 in the scalar case
         inv0 = ring.one()
     else:
-        head = _log_one_plus_nilpotent(ring, a0 - ring.one())
+        # log(1 + r) = sum_{j>=1} (-1)^(j+1) r^j / j
+        head = _nilpotent_sum(a0 - ring.one(), lambda j: Fraction((-1) ** (j + 1), j) if j else 0)
         inv0 = a0.inverse()
 
     # a = a0 * (1 + R) with R supported on positive exponents.

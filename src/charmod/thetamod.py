@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .exactmath import GRID, RAT_RING, QExpSeries, qs_exp, qs_inv, qs_mul
-from .charring import ArgumentError, _accumulate
+from .exactmath import GRID, RAT_RING, QExpSeries, qs_inv, qs_mul
+from .charring import ArgumentError, exp_combination
 
 
 class InternalCancellationError(ArithmeticError):
@@ -182,12 +182,13 @@ def theta_eighth_sum(order):
 # ----------------------------------------------------------------------
 
 
-def e8_character(g, order):
-    """Character q-series from degree-4/8/12 classes (g1, g2, g3).
+def e8_theta_sum(g, order):
+    """phi^8 times the character q-series of the rank-248 bundle with
+    degree-4/8/12 root power sums g = (g1, g2, g3).
 
-    Computes (1/2) sum over the three even theta kinds of
-    theta_a(0)^8 * exp(sum_k c_{a,k}(q) g_k), then divides by phi^8.
-    The pre-division sum must live on whole q-powers; surviving fractional
+    It is the theta sum (1/2) sum over the three even theta kinds a of
+    theta_a(0)^8 exp(sum_k c_{a,k}(q) g_k), taken as it stands, with no
+    division.  The sum must live on whole q-powers; surviving fractional
     exponents raise InternalCancellationError.
     """
     g1, g2, g3 = g
@@ -199,14 +200,7 @@ def e8_character(g, order):
 
     acc = QExpSeries.zero(ring, order)
     for kind in ("theta1", "theta2", "theta3"):
-        c_series = theta_log_ratio(kind, order)
-        log_terms = {}
-        for c_k, g_k in zip(c_series, (g1, g2, g3)):
-            if g_k.is_zero():
-                continue
-            for grid_key, coeff in c_k.terms.items():
-                _accumulate(log_terms, grid_key, g_k * coeff)
-        exponential = qs_exp(QExpSeries(ring, order, log_terms))
+        exponential = exp_combination(zip(theta_log_ratio(kind, order), g), ring, order)
         theta8 = series_in_ring(theta_zero_power8(kind, order), ring)
         acc = acc + qs_mul(theta8, exponential)
     acc = acc.scale(Fraction(1, 2))
@@ -216,59 +210,48 @@ def e8_character(g, order):
             raise InternalCancellationError(
                 "fractional exponent q^(%d/%d) survived the theta sum" % (grid_key, GRID)
             )
+    return acc
 
-    return qs_mul(acc, series_in_ring(qs_inv(phi(order) ** 8), ring))
+
+def e8_character(g, order):
+    """Character q-series of the rank-248 bundle from degree-4/8/12 root
+    power sums (g1, g2, g3): `e8_theta_sum` times the inverse of phi^8.
+    The twisted classes multiply by the theta sum itself; this series
+    serves the character comparisons."""
+    theta_sum = e8_theta_sum(g, order)
+    return qs_mul(theta_sum, series_in_ring(qs_inv(phi(theta_sum.order) ** 8), theta_sum.ring))
 
 
 def e8_lattice_theta(order):
     """Theta series of the even unimodular rank-8 lattice.
 
-    Counts vectors of each norm in the union of the integral part (integer
-    coordinates, even coordinate sum) and the half-integral coset, by
-    dynamic programming over coordinates with norm pruning.
+    With u = 2v the lattice is the set of u in Z^8 whose coordinates are
+    all even or all odd and whose sum is 0 mod 4 (the integral part and the
+    half-integral coset), and v contributes q^(|v|^2/2) = q^(sum u^2/8).
+    For each parity, dynamic programming over the coordinates counts the
+    vectors by (sum u^2, sum u mod 4) with norm pruning.
     """
     order = int(order)
     if order < 0 or order > 12:
         raise ArgumentError("supported through q^12, got order %r" % (order,))
-    budget = 2 * order  # max squared norm
-
-    # integral part: v in Z^8, sum v_i even, |v|^2 <= budget
-    # state: (squared norm so far, parity of coordinate sum) -> count
-    states = {(0, 0): 1}
-    reach = int(budget ** 0.5) + 1
-    for _ in range(8):
-        nxt = {}
-        for (norm, parity), count in states.items():
-            for v in range(-reach, reach + 1):
-                n2 = norm + v * v
-                if n2 > budget:
-                    continue
-                key = (n2, (parity + v) % 2)
-                nxt[key] = nxt.get(key, 0) + count
-        states = nxt
+    budget = 8 * order  # max sum of u^2
+    reach = isqrt(budget)
     counts = {}
-    for (norm, parity), count in states.items():
-        if parity == 0 and norm % 2 == 0:
-            counts[norm // 2] = counts.get(norm // 2, 0) + count
-
-    # half-integral coset: v_i = w_i + 1/2, track sum (w^2 + w) and parity of sum w
-    states = {(0, 0): 1}
-    for _ in range(8):
-        nxt = {}
-        for (acc, parity), count in states.items():
-            w = -reach - 1
-            while w <= reach:
-                step = w * w + w
-                if acc + step <= budget - 2:
-                    key = (acc + step, (parity + w) % 2)
-                    nxt[key] = nxt.get(key, 0) + count
-                w += 1
-        states = nxt
-    for (acc, parity), count in states.items():
-        if parity == 0:
-            norm2 = acc + 2  # |v|^2 = sum(w^2 + w) + 8/4
-            if norm2 % 2 == 0 and norm2 // 2 <= order:
-                counts[norm2 // 2] = counts.get(norm2 // 2, 0) + count
+    for parity in (0, 1):
+        values = [u for u in range(-reach, reach + 1) if u % 2 == parity]
+        states = {(0, 0): 1}
+        for _ in range(8):
+            nxt = {}
+            for (norm, total), count in states.items():
+                for u in values:
+                    n2 = norm + u * u
+                    if n2 <= budget:
+                        key = (n2, (total + u) % 4)
+                        nxt[key] = nxt.get(key, 0) + count
+            states = nxt
+        for (norm, total), count in states.items():
+            if total == 0:
+                counts[norm // 8] = counts.get(norm // 8, 0) + count
 
     return QExpSeries(
         RAT_RING, order, {GRID * n: Fraction(c) for n, c in counts.items()}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from charmod import anomaly
+from charmod import anomaly, exactmath, thetamod
 from charmod.anomaly import (
     CLASS_KINDS,
     DEG8_SETTINGS,
@@ -38,7 +38,7 @@ from charmod.charring import (
     multiplicative_class,
     witten_expand,
 )
-from charmod.exactmath import QExpSeries, _exp_nilpotent, qs_mul
+from charmod.exactmath import GRID, QExpSeries, _exp_nilpotent, qs_inv, qs_mul
 from charmod.thetamod import modular_basis
 
 
@@ -126,6 +126,37 @@ def test_fact_check_fails_on_zero_multiplier():
     assert data["multiplier"] != "0"
 
 
+def test_registry_builds_no_inverse(monkeypatch):
+    # the twisted classes multiply by the theta sum, not by phi^8 times a
+    # character that was divided by phi^8; the uncached theta sum is built
+    # afresh for each class
+    calls = []
+
+    def counting_inv(a):
+        calls.append(a)
+        return qs_inv(a)
+
+    monkeypatch.setattr(thetamod, "qs_inv", counting_inv)
+    monkeypatch.setattr(exactmath, "qs_inv", counting_inv)
+    monkeypatch.setattr(anomaly, "_e8_theta_sum", anomaly._e8_theta_sum.__wrapped__)
+    assert all(report.passed for report in run_registry(order=6))
+    assert calls == []
+
+
+def test_fact_checks_fail_when_the_theta_sum_is_off(monkeypatch):
+    # negative control for the E8 factor: x * q added to the theta sum
+    theta_sum = anomaly._e8_theta_sum
+
+    def shifted(ring, order):
+        return theta_sum(ring, order) + QExpSeries(ring, order, {GRID: ring.gen("x")})
+
+    monkeypatch.setattr(anomaly, "_e8_theta_sum", shifted)
+    for reg_id in anomaly._FACT_SETTINGS:
+        report = verify_identity(reg_id, order=3)
+        assert report.status == "fail", reg_id
+        assert "not a multiple" in report.witness, reg_id
+
+
 def test_fact_basis_rows_fix_the_q1_ratio():
     # match_modular_basis sets m = s0 and forces s1 = m * (basis q^1), so
     # once it passes the q^1/q^0 ratio of each fact_* class is the basis
@@ -172,6 +203,22 @@ def test_sqrt_relation_fails_when_both_sides_are_zero(monkeypatch):
     report = verify_identity("sqrt_relation", order=1)
     assert report.status == "fail"
     assert report.witness == "both sides are 0"
+
+
+def test_witness_of_polynomial_and_series_sides():
+    ring = default_ring()
+    x = ring.gen("x")
+    assert anomaly._witness(x, x) == ""
+    assert anomaly._witness(ring.zero(), ring.zero()) == "both sides are 0"
+    assert anomaly._witness(2 * x, x) == str(x)
+    zero = QExpSeries.zero(ring, 2)
+    lhs = QExpSeries(ring, 2, {0: ring.one(), 12: x, 24: x * x})
+    rhs = QExpSeries(ring, 2, {0: ring.one(), 24: x})
+    assert anomaly._witness(lhs, lhs) == ""
+    assert anomaly._witness(zero, zero) == "both sides are 0"
+    # the sides first differ at q^(1/2), not at q^0 or q^1
+    assert anomaly._witness(lhs, rhs) == "q^(1/2): %s" % x
+    assert anomaly._witness(lhs, rhs).startswith("q^(1/2):")
 
 
 def test_report_round_trip():

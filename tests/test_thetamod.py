@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from charmod.charring import ArgumentError, PolyRing, default_ring
+from charmod.charring import ArgumentError, PolyRing, calibrate_e8_roots, default_ring
 from charmod.exactmath import (
     GRID,
     RAT_RING,
@@ -23,6 +23,7 @@ from charmod.thetamod import (
     PrecisionError,
     e8_character,
     e8_lattice_theta,
+    e8_theta_sum,
     eisenstein,
     match_modular_basis,
     modular_basis,
@@ -315,6 +316,19 @@ def test_character_validates_homogeneity():
     x = ring.gen("x")
     with pytest.raises(ArgumentError):
         e8_character((x * x, ring.zero(), ring.zero()), 1)
+
+
+@pytest.mark.parametrize("calibrated", [True, False])
+def test_theta_sum_is_phi8_times_the_character(calibrated):
+    # the twisted classes multiply by the theta sum in place of
+    # phi^8 * e8_character, so the two must agree exactly
+    n = 6
+    ring = default_ring()
+    zero = ring.zero()
+    g = calibrate_e8_roots(ring.gen("x")) if calibrated else (zero, zero, zero)
+    theta_sum = e8_theta_sum(g, n)
+    assert theta_sum == qs_mul(series_in_ring(phi(n) ** 8, ring), e8_character(g, n))
+    assert theta_sum.coefficient(1).constant_term() == 240
 
 
 # ----------------------------------------------------------------------
