@@ -147,12 +147,16 @@ def _e8_theta_sum(ring, order):
 #: The three bases of the paper's generalized Witten classes: spin,
 #: spin^c and orientable manifolds.  Each maps to the p1 and c^2
 #: coefficients of its prefactor exponent K, the twist spec of its Witten
-#: series (spin^c twists by the line pair xi of c), and the multiplicative
-#: class of its weight (times cosh(c/2) for spin^c).
+#: series (spin^c twists by the line pair xi of c), the multiplicative
+#: class of its weight (times cosh(c/2) for spin^c), and the two constants
+#: every registry weight derives from: w, the weight of Q in the degree-8
+#: displays, and c, the index weight of one E8 copy.  The base twisted by
+#: k copies is modular of weight 6 + 4k, and its theorem weighs the index
+#: density c/k and the cubic form 2wc/k.
 _BASES = {
-    "spin": ((1, 0), "Theta", "Ahat"),
-    "spinc": ((1, -3), "ThetaTwisted", "Ahat"),
-    "orient": ((-2, 0), "Phi", "Lhat"),
+    "spin": ((1, 0), "Theta", "Ahat", Fraction(1, 24), Fraction(1, 2)),
+    "spinc": ((1, -3), "ThetaTwisted", "Ahat", Fraction(1, 24), Fraction(1)),
+    "orient": ((-2, 0), "Phi", "Lhat", Fraction(8, 3), Fraction(1, 16)),
 }
 
 #: Each class kind as (base, copies): the generalized Witten class of the
@@ -172,24 +176,11 @@ CLASS_KINDS = tuple(_CLASS_TABLE)
 
 
 def _exponent(base, copies, ring):
-    """K of a base twisted by ``copies`` E8 copies: the base's multiple of
-    p1 and c^2, plus 2x for each copy."""
+    """K in the prefactor exp((1/24) E2 K) of a base twisted by ``copies``
+    E8 copies: the base's multiple of p1 and c^2, plus 2x for each copy."""
     a_p1, a_c2 = _BASES[base][0]
     g = ring.gens()
     return a_p1 * g["p1"] + a_c2 * g["c"] * g["c"] + 2 * copies * g["x"]
-
-
-def prefactor_exponent(kind, ring):
-    """Polynomial K in the exponential prefactor exp((1/24) E2 K) of a class."""
-    if kind not in _CLASS_TABLE:
-        raise ValueError("unknown class kind %r" % (kind,))
-    return _exponent(*_CLASS_TABLE[kind], ring)
-
-
-def _prefactor_series(kind, order, ring):
-    """exp((1/24) E2 K) of a class."""
-    pairs = [(eisenstein(2, order), prefactor_exponent(kind, ring) * Fraction(1, 24))]
-    return exp_combination(pairs, ring, order)
 
 
 @lru_cache(maxsize=None)
@@ -235,15 +226,23 @@ def build_twisted_class(kind, order, ring=None, route="adams"):
         raise ValueError("unknown class kind %r" % (kind,))
     if route not in ("adams", "theta"):
         raise ValueError("unknown route %r" % (route,))
-    ring = ring or default_ring()
-    order = int(order)
-    base, copies = _CLASS_TABLE[kind]
+    return _twisted_class(*_CLASS_TABLE[kind], int(order), ring or default_ring(), route)
 
+
+def _twisted_class(base, copies, order, ring, route):
+    """exp((1/24) E2 K) times the weighted Witten series of a base times
+    the E8 factor once per copy.  Raises ArgumentError for copies and a cap
+    of 16 or more: above degree 15 E8 has a Weyl invariant of degree 8 in
+    the roots, so V has no character in x alone there."""
+    if copies and ring.cap >= 16:
+        raise ArgumentError("a cap above 15 leaves the E8 bundle V no x-only character, got %d"
+                            % ring.cap)
     if route == "adams":
         core = _witten_series(base, ring, order).scale(_weight_class(base, ring))
     else:
         core = _core_theta(base, order, ring)
-    out = qs_mul(_prefactor_series(kind, order, ring), core)
+    pairs = [(eisenstein(2, order), _exponent(base, copies, ring) * Fraction(1, 24))]
+    out = qs_mul(exp_combination(pairs, ring, order), core)
     if copies:
         out = qs_mul(out, _e8_theta_sum(ring, order) ** copies)
     return out
@@ -338,28 +337,22 @@ def exp_minus_one_over(k_poly):
     return _nilpotent_sum(k_poly, lambda j: Fraction(1, 24 ** (j + 1) * factorial(j + 1)))
 
 
-#: Each degree-8 display as (class kind, weight of its cubic-form side).
-DEG8_SETTINGS = {
-    "deg8_spinc_q": ("Qc", Fraction(1, 24)),
-    "deg8_spinc_r": ("Rc", Fraction(1, 24)),
-    "deg8_orient_q": ("QL", Fraction(8, 3)),
-    "deg8_orient_r": ("RL", Fraction(8, 3)),
-}
+def _q0_coefficient(base, k, ring):
+    """exp(K/24) W, with W the base's weight class: the q^0 coefficient of
+    the base twisted by k copies, as E2, the Witten series and E8 factor
+    start at 1."""
+    return _exp_nilpotent(_exponent(base, k, ring) * Fraction(1, 24)) * _weight_class(base, ring)
 
 
 def deg8_display_sides(reg_id, ring):
-    """LHS (brace degree-8 part) and RHS (weighted Q of the cubic form) of
+    """LHS (brace degree-8 part) and RHS (w times Q of the cubic form) of
     one display."""
-    kind, form_weight = DEG8_SETTINGS[reg_id]
-    base, k = _CLASS_TABLE[kind]
-    K = prefactor_exponent(kind, ring)
-    weight_class = _weight_class(base, ring)
+    base, k = _row(reg_id, _check_deg8)
+    u = exp_minus_one_over(_exponent(base, k, ring))
     bundle = _index_bundle(k, _e8_bundle(ring), _q1_bundle(base, ring))
-    u = exp_minus_one_over(K)
-    exp_k = _exp_nilpotent(K * Fraction(1, 24))
-    brace = -(u * weight_class * bundle) + exp_k * weight_class
+    brace = -(u * _weight_class(base, ring) * bundle) + _q0_coefficient(base, k, ring)
     _, Q = cubic_form(base, k, ring)
-    return brace.homogeneous_part(8), Q * form_weight
+    return brace.homogeneous_part(8), Q * _BASES[base][3]
 
 
 # ----------------------------------------------------------------------
@@ -390,14 +383,10 @@ def restrict_to_u(poly, target=None):
     return _substitute(poly, images, target)
 
 
-#: Each comparison as its number k of E8 copies.
-DIFFER_SETTINGS = {"differ1": 2, "differ2": 1}
-
-
 def _differ_gamma(which, ring):
     """The spin^c cubic form minus the spin one, both with the comparison's
     k copies, over 12."""
-    k = DIFFER_SETTINGS[which]
+    _, k = _row(which, _check_differ)
     l_c, q_c = cubic_form("spinc", k, ring)
     l, q = cubic_form("spin", k, ring)
     return (l_c * q_c - l * q) / 12
@@ -438,7 +427,7 @@ def boundary_tanh_term(which, target=None):
     tangent = ch_tangent(10, ru, pontryagin_names=names)
     normal = line_pair_ch(ru.gen("e"))
     i_v = e8_ch(ru.gen("tx"))
-    bundle = _index_bundle(DIFFER_SETTINGS[which], i_v, tangent + normal - 12)
+    bundle = _index_bundle(_row(which, _check_differ)[1], i_v, tangent + normal - 12)
     e = ru.gen("e")
     tanh = e / 4 - e ** 3 / 192 + e ** 5 / 7680
     return ((ahat * bundle * tanh) / 2).homogeneous_part(10)
@@ -449,9 +438,7 @@ def verify_differ(which, cap=12):
     quadratic form.  The form restricted to the boundary goes into the data,
     and the residuals of the two alternate symbol readings into the
     findings."""
-    if which not in DIFFER_SETTINGS:
-        raise ValueError("unknown comparison %r" % (which,))
-    k = DIFFER_SETTINGS[which]
+    _, k = _row(which, _check_differ)
     ring = default_ring(cap)
     g = ring.gens()
     p1, p2, c = g["p1"], g["p2"], g["c"]
@@ -499,14 +486,6 @@ def verify_differ(which, cap=12):
 # the registry
 # ----------------------------------------------------------------------
 
-_FACT_SETTINGS = {
-    "fact_spinc_q": ("Qc", 14),
-    "fact_spinc_r": ("Rc", 10),
-    "fact_orient_q": ("QL", 14),
-    "fact_orient_r": ("RL", 10),
-}
-
-
 def _witness(lhs, rhs):
     """The discrepancy between two sides, polynomials or q-series: "" when
     they are equal, and a failure when both are 0, since an identity that
@@ -523,31 +502,17 @@ def _witness(lhs, rhs):
     return str(diff)
 
 
-#: Each main identity as (base, E8 copies k, weight of the cubic form L Q,
-#: weight of the index density).
-_THEOREMS = {
-    "wfh_main": ("spin", 2, Fraction(1, 48), Fraction(1, 4)),
-    "spin_new": ("spin", 1, Fraction(1, 24), Fraction(1, 2)),
-    "spinc_main": ("spinc", 2, Fraction(1, 24), Fraction(1, 2)),
-    "spinc_new": ("spinc", 1, Fraction(1, 12), Fraction(1)),
-    "o1": ("orient", 2, Fraction(1, 6), Fraction(1, 32)),
-    "o2": ("orient", 1, Fraction(1, 3), Fraction(1, 16)),
-}
-
-THEOREM_IDS = tuple(_THEOREMS)
-
-
 def theorem_sides(reg_id, ring):
-    """Degree-12 parts of a main identity: the weighted cubic form L Q
-    (LHS) and the weighted index density, the base's weight times the
-    index bundle k V + R + 504 - 248 k (RHS)."""
-    if reg_id not in _THEOREMS:
-        raise ValueError("unknown identity %r" % (reg_id,))
-    base, k, form_weight, index_weight = _THEOREMS[reg_id]
+    """Degree-12 parts of a main identity with k copies: the cubic form
+    L Q weighted 2wc/k (LHS) and the index density, the base's weight
+    times the index bundle k V + R + 504 - 248 k, weighted c/k (RHS), with
+    w and c the base's constants in `_BASES`."""
+    base, k = _row(reg_id, _check_theorem)
+    w, c = _BASES[base][3:]
     L, Q = cubic_form(base, k, ring)
     bundle = _index_bundle(k, _e8_bundle(ring), _q1_bundle(base, ring))
-    lhs = L * Q * form_weight
-    rhs = _weight_class(base, ring) * bundle * index_weight
+    lhs = L * Q * (2 * w * c / k)
+    rhs = _weight_class(base, ring) * bundle * (c / k)
     return lhs.homogeneous_part(12), rhs.homogeneous_part(12)
 
 
@@ -557,10 +522,11 @@ def _check_theorem(reg_id, order, cap):
 
 
 def _check_fact(reg_id, order, cap):
-    kind, weight = _FACT_SETTINGS[reg_id]
+    base, k = _row(reg_id, _check_fact)
+    weight = 6 + 4 * k
     ring = default_ring(cap)
-    cls = build_twisted_class(kind, order, ring)
-    s12 = degree_part_series(cls, 12)
+    kind = next(kind for kind, row in _CLASS_TABLE.items() if row == (base, k))
+    s12 = degree_part_series(build_twisted_class(kind, order, ring), 12)
     try:
         m = match_modular_basis(s12, weight)
     except NotProportional as exc:
@@ -571,9 +537,14 @@ def _check_fact(reg_id, order, cap):
             [],
             {},
         )
+    data = {"multiplier": str(m)}
     if m == 0:
-        return "degree-12 part vanishes (multiplier 0)", [], [], {"multiplier": "0"}
-    return "", [], [], {"multiplier": str(m)}
+        return "degree-12 part vanishes (multiplier 0)", [], [], data
+    # the q^0 coefficient needs no series, so a scaled E8 factor fails here
+    expected = _q0_coefficient(base, k, ring).homogeneous_part(12)
+    if m != expected:
+        return "multiplier is not deg12(exp(K/24) W), off by %s" % (m - expected), [], [], data
+    return "", [], [], data
 
 
 def _check_deg8(reg_id, order, cap):
@@ -606,14 +577,10 @@ def _check_sqrt(reg_id, order, cap):
     return _witness(qs_mul(r_c, r_c), qs_mul(q_c, w_c)), [], [], {}
 
 
-#: The base whose Witten series b1_check and d1_check expand.
-_Q1_BASES = {"b1_check": "spinc", "d1_check": "orient"}
-
-
 def q1_bundle_sides(reg_id, ring):
     """Character of the q^1 coefficient of the base's Witten series (LHS)
     and of the displayed bundle B1 or D1 (RHS)."""
-    base = _Q1_BASES[reg_id]
+    base, _ = _row(reg_id, _check_q1_bundle)
     return _witten_series(base, ring, 1).coefficient(1), _q1_bundle(base, ring)
 
 
@@ -695,41 +662,69 @@ def _check_differ(reg_id, order, cap):
     return witness, findings, [], data
 
 
-#: Every registry id, in report order, with its check; the ids of a
-#: settings table keep its order.  A check takes ``(reg_id, order, cap)``
+#: Every registry id, in report order, as (check, base, E8 copies k), with
+#: None where its check reads no base or no k; b1_check and d1_check read
+#: the untwisted Witten series.  Every weight of a row follows from k and
+#: the base's constants in `_BASES`.  A check takes ``(reg_id, order, cap)``
 #: and returns ``(witness, findings, assumptions, data)``; it reaches the
 #: side builders through this module's globals.
-_CHECKS = {
-    **dict.fromkeys(_THEOREMS, _check_theorem),
-    **dict.fromkeys(_FACT_SETTINGS, _check_fact),
-    **dict.fromkeys(DEG8_SETTINGS, _check_deg8),
-    "bundle_xi_plus": _check_bundle,
-    "bundle_xi_minus": _check_bundle,
-    "sqrt_relation": _check_sqrt,
-    **dict.fromkeys(_Q1_BASES, _check_q1_bundle),
-    "pc_theorem": _check_pc,
-    "mod2_orientable": _check_mod2_orientable,
-    **dict.fromkeys(DIFFER_SETTINGS, _check_differ),
+_REGISTRY = {
+    "wfh_main": (_check_theorem, "spin", 2),
+    "spin_new": (_check_theorem, "spin", 1),
+    "spinc_main": (_check_theorem, "spinc", 2),
+    "spinc_new": (_check_theorem, "spinc", 1),
+    "o1": (_check_theorem, "orient", 2),
+    "o2": (_check_theorem, "orient", 1),
+    "fact_spinc_q": (_check_fact, "spinc", 2),
+    "fact_spinc_r": (_check_fact, "spinc", 1),
+    "fact_orient_q": (_check_fact, "orient", 2),
+    "fact_orient_r": (_check_fact, "orient", 1),
+    "deg8_spinc_q": (_check_deg8, "spinc", 2),
+    "deg8_spinc_r": (_check_deg8, "spinc", 1),
+    "deg8_orient_q": (_check_deg8, "orient", 2),
+    "deg8_orient_r": (_check_deg8, "orient", 1),
+    "bundle_xi_plus": (_check_bundle, None, None),
+    "bundle_xi_minus": (_check_bundle, None, None),
+    "sqrt_relation": (_check_sqrt, None, None),
+    "b1_check": (_check_q1_bundle, "spinc", 0),
+    "d1_check": (_check_q1_bundle, "orient", 0),
+    "pc_theorem": (_check_pc, None, None),
+    "mod2_orientable": (_check_mod2_orientable, None, None),
+    "differ1": (_check_differ, None, 2),
+    "differ2": (_check_differ, None, 1),
 }
 
-REGISTRY_IDS = tuple(_CHECKS)
+REGISTRY_IDS = tuple(_REGISTRY)
+THEOREM_IDS = tuple(i for i in REGISTRY_IDS if _REGISTRY[i][0] is _check_theorem)
+DEG8_IDS = tuple(i for i in REGISTRY_IDS if _REGISTRY[i][0] is _check_deg8)
+
+
+def _row(reg_id, check):
+    """(base, k) of a registry id; ValueError unless ``check`` checks it."""
+    if reg_id not in _REGISTRY or _REGISTRY[reg_id][0] is not check:
+        raise ValueError("%r is not an id of %s" % (reg_id, check.__name__))
+    return _REGISTRY[reg_id][1:]
 
 
 def verify_identity(reg_id, order=6, cap=12):
     """Run one registry check and return its VerificationReport.
 
     Raises ArgumentError for ``cap < 12``, where every degree-12 part is 0
-    and the checks would pass on 0 = 0, and for ``order < 1``, which leaves
-    no q^1 coefficient for the modular-form matches.
+    and the checks would pass on 0 = 0, for ``cap > 15``, where V has no
+    character in x alone, and for ``order < 1``, which leaves no q^1
+    coefficient for the modular-form matches.
     """
     if reg_id not in REGISTRY_IDS:
         raise ValueError("unknown registry id %r" % (reg_id,))
-    if cap < 12:
-        raise ArgumentError("cap must be at least 12 to hold the degree-12 parts, got %d" % cap)
+    if not 12 <= cap <= 15:
+        raise ArgumentError(
+            "cap must be at least 12 to hold the degree-12 parts and at most 15 "
+            "to leave V a character in x alone, got %d" % cap
+        )
     if order < 1:
         raise ArgumentError("order must be at least 1 to match q^1 in the fact checks, got %d" % order)
     started = time.perf_counter()
-    witness, findings, assumptions, data = _CHECKS[reg_id](reg_id, order, cap)
+    witness, findings, assumptions, data = _REGISTRY[reg_id][0](reg_id, order, cap)
     millis = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         id=reg_id,

@@ -209,12 +209,7 @@ def _cmd_e8(args):
 def _cmd_theta_check(args):
     tau = _parse_complex(args.tau, "--tau")
     v = _parse_complex(args.v, "--v")
-    try:
-        result = numeric_transform_check(
-            args.kind, v, tau, terms=args.terms, tol=args.tol
-        )
-    except ArgumentError as exc:
-        raise UsageError(str(exc))
+    result = numeric_transform_check(args.kind, v, tau, terms=args.terms, tol=args.tol)
     if args.format == "json":
         payload = dict(result, tau=str(result["tau"]), v=str(result["v"]))
         _emit(json.dumps(payload, indent=2), args)
@@ -286,7 +281,7 @@ def main(argv=None):
     }
     try:
         return commands[args.subcommand](args)
-    except UsageError as exc:
+    except (UsageError, ArgumentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except PrecisionError as exc:

@@ -9,7 +9,7 @@ import pytest
 from charmod import anomaly, exactmath, thetamod
 from charmod.anomaly import (
     CLASS_KINDS,
-    DEG8_SETTINGS,
+    DEG8_IDS,
     MOD2_RING,
     REGISTRY_IDS,
     THEOREM_IDS,
@@ -19,11 +19,11 @@ from charmod.anomaly import (
     boundary_tanh_term,
     build_twisted_class,
     cubic_form,
+    deg8_display_sides,
     degree_part_series,
     display_bundles,
     exp_minus_one_over,
     mod2_reduce,
-    prefactor_exponent,
     restrict_to_u,
     run_registry,
     theorem_sides,
@@ -39,7 +39,9 @@ from charmod.charring import (
     witten_expand,
 )
 from charmod.exactmath import GRID, QExpSeries, _exp_nilpotent, qs_inv, qs_mul
-from charmod.thetamod import modular_basis
+from charmod.thetamod import match_modular_basis, modular_basis
+
+FACT_IDS = [reg_id for reg_id in REGISTRY_IDS if reg_id.startswith("fact_")]
 
 
 def _paper_forms(ring):
@@ -81,6 +83,28 @@ def _paper_bundles(ring):
     }
 
 
+#: The registry's weights as the paper writes them, each with the (base,
+#: E8 copies) of its id: for a theorem the weights of the cubic form L Q
+#: and of the index density, for a degree-8 display the weight of Q, and
+#: for a factorization the modular weight.
+PAPER_WEIGHTS = {
+    "wfh_main": (("spin", 2), Fraction(1, 48), Fraction(1, 4)),
+    "spin_new": (("spin", 1), Fraction(1, 24), Fraction(1, 2)),
+    "spinc_main": (("spinc", 2), Fraction(1, 24), Fraction(1, 2)),
+    "spinc_new": (("spinc", 1), Fraction(1, 12), Fraction(1)),
+    "o1": (("orient", 2), Fraction(1, 6), Fraction(1, 32)),
+    "o2": (("orient", 1), Fraction(1, 3), Fraction(1, 16)),
+    "deg8_spinc_q": (("spinc", 2), Fraction(1, 24)),
+    "deg8_spinc_r": (("spinc", 1), Fraction(1, 24)),
+    "deg8_orient_q": (("orient", 2), Fraction(8, 3)),
+    "deg8_orient_r": (("orient", 1), Fraction(8, 3)),
+    "fact_spinc_q": (("spinc", 2), 14),
+    "fact_spinc_r": (("spinc", 1), 10),
+    "fact_orient_q": (("orient", 2), 14),
+    "fact_orient_r": (("orient", 1), 10),
+}
+
+
 # ----------------------------------------------------------------------
 # registry end to end
 # ----------------------------------------------------------------------
@@ -115,6 +139,12 @@ def test_registry_rejects_settings_that_make_checks_vacuous():
         verify_identity("fact_spinc_q", order=3, cap=11)
     with pytest.raises(ArgumentError):
         verify_identity("wfh_main", order=0)
+    # above cap 15 the E8 bundle V has no character in x alone
+    with pytest.raises(ArgumentError):
+        verify_identity("wfh_main", order=1, cap=16)
+    with pytest.raises(ArgumentError):
+        build_twisted_class("Qc", 1, default_ring(16))
+    assert build_twisted_class("Wc", 1, default_ring(16)).order == 1
 
 
 def test_fact_check_fails_on_zero_multiplier():
@@ -151,17 +181,33 @@ def test_fact_checks_fail_when_the_theta_sum_is_off(monkeypatch):
         return theta_sum(ring, order) + QExpSeries(ring, order, {GRID: ring.gen("x")})
 
     monkeypatch.setattr(anomaly, "_e8_theta_sum", shifted)
-    for reg_id in anomaly._FACT_SETTINGS:
+    for reg_id in FACT_IDS:
         report = verify_identity(reg_id, order=3)
         assert report.status == "fail", reg_id
         assert "not a multiple" in report.witness, reg_id
 
 
+def test_fact_checks_fail_when_the_theta_sum_is_scaled(monkeypatch):
+    # a scaled E8 factor keeps each class modular but scales its multiplier,
+    # which the check pins to deg12(exp(K/24) W).  sqrt_relation still
+    # passes: Rc^2 = Qc Wc holds for any E8 series, since Rc carries the
+    # factor once and Qc twice.
+    theta_sum = anomaly._e8_theta_sum
+    monkeypatch.setattr(anomaly, "_e8_theta_sum", lambda ring, order: theta_sum(ring, order).scale(2))
+    for reg_id in FACT_IDS:
+        report = verify_identity(reg_id, order=3)
+        assert report.status == "fail", reg_id
+        assert "multiplier is not" in report.witness, reg_id
+    assert verify_identity("sqrt_relation", order=3).passed
+
+
 def test_fact_basis_rows_fix_the_q1_ratio():
     # match_modular_basis sets m = s0 and forces s1 = m * (basis q^1), so
     # once it passes the q^1/q^0 ratio of each fact_* class is the basis
-    # row's: E4^2 E6 at weight 14 and E4 E6 at weight 10
-    assert sorted({weight for _, weight in anomaly._FACT_SETTINGS.values()}) == [10, 14]
+    # row's: E4^2 E6 at weight 14 and E4 E6 at weight 10, the 6 + 4k of
+    # k = 2 and k = 1 E8 copies
+    copies = {anomaly._row(reg_id, anomaly._check_fact)[1] for reg_id in FACT_IDS}
+    assert sorted(6 + 4 * k for k in copies) == [10, 14]
     assert [modular_basis(14, 1).coefficient(n) for n in (0, 1)] == [1, -24]
     assert [modular_basis(10, 1).coefficient(n) for n in (0, 1)] == [1, -264]
 
@@ -177,7 +223,7 @@ def test_q1_coefficient_is_read_at_order_1(name, keys):
 
 SIDES = (
     [(reg_id, "theorem_sides") for reg_id in THEOREM_IDS]
-    + [(reg_id, "deg8_display_sides") for reg_id in DEG8_SETTINGS]
+    + [(reg_id, "deg8_display_sides") for reg_id in DEG8_IDS]
     + [(reg_id, "bundle_xi_sides") for reg_id in ("bundle_xi_plus", "bundle_xi_minus")]
     + [(reg_id, "q1_bundle_sides") for reg_id in ("b1_check", "d1_check")]
 )
@@ -240,6 +286,45 @@ def test_theorem_sides_vanish():
         assert (lhs - rhs).is_zero(), reg_id
     with pytest.raises(ValueError):
         theorem_sides("sqrt_relation", ring)
+
+
+def test_side_builders_reject_ids_of_other_checks():
+    ring = default_ring()
+    with pytest.raises(ValueError):
+        deg8_display_sides("wfh_main", ring)
+    with pytest.raises(ValueError):
+        verify_differ("o1")
+    with pytest.raises(ValueError):
+        anomaly.q1_bundle_sides("fact_spinc_q", ring)
+
+
+def test_registry_weights_match_the_paper(monkeypatch):
+    # every weight is derived from the base's w and c and from k; the
+    # paper's literal weights must come out
+    ring = default_ring()
+    forms, bundles = _paper_forms(ring), _paper_bundles(ring)
+    for reg_id in THEOREM_IDS:
+        key, form_weight, index_weight = PAPER_WEIGHTS[reg_id]
+        L, Q = forms[key]
+        density = anomaly._weight_class(key[0], ring) * bundles[key]
+        lhs, rhs = theorem_sides(reg_id, ring)
+        assert lhs == (L * Q * form_weight).homogeneous_part(12), reg_id
+        assert rhs == (density * index_weight).homogeneous_part(12), reg_id
+    for reg_id in DEG8_IDS:
+        key, weight = PAPER_WEIGHTS[reg_id]
+        assert deg8_display_sides(reg_id, ring)[1] == forms[key][1] * weight, reg_id
+    seen = []
+
+    def recording(series, weight):
+        seen.append(weight)
+        return match_modular_basis(series, weight)
+
+    monkeypatch.setattr(anomaly, "match_modular_basis", recording)
+    for reg_id in FACT_IDS:
+        assert verify_identity(reg_id, order=1).passed
+        assert seen[-1] == PAPER_WEIGHTS[reg_id][1], reg_id
+    checked = list(THEOREM_IDS) + list(DEG8_IDS) + FACT_IDS
+    assert sorted(checked) == sorted(PAPER_WEIGHTS)
 
 
 def _drop_c(poly):
@@ -331,7 +416,8 @@ def test_prefactor_exponent_pinned():
         "QL": -2 * p1 + 4 * x,
         "RL": -2 * p1 + 2 * x,
     }
-    assert {kind: prefactor_exponent(kind, ring) for kind in CLASS_KINDS} == expected
+    got = {kind: anomaly._exponent(*anomaly._CLASS_TABLE[kind], ring) for kind in CLASS_KINDS}
+    assert got == expected
 
 
 def test_build_rejects_bad_arguments():
@@ -339,8 +425,6 @@ def test_build_rejects_bad_arguments():
         build_twisted_class("nope", 2)
     with pytest.raises(ValueError):
         build_twisted_class("Wc", 2, route="numeric")
-    with pytest.raises(ValueError):
-        prefactor_exponent("nope", default_ring())
 
 
 def test_square_relation():
@@ -375,42 +459,103 @@ def _exp_over_24(k_poly):
         out = out + power * Fraction(1, 24 ** j * factorial)
 
 
-SPLIT_SETTINGS = {
-    # kind: ((base, E8 copies) of its displayed bundle, q^1/q^0 ratio, spin^c)
-    "Qc": (("spinc", 2), 24, True),
-    "Rc": (("spinc", 1), 264, True),
-    "QL": (("orient", 2), 24, False),
-    "RL": (("orient", 1), 264, False),
-}
+def _paper_exponent(base, k, ring):
+    """K of the base twisted by k E8 copies, as the paper writes it."""
+    g = ring.gens()
+    p1, c, x = g["p1"], g["c"], g["x"]
+    return {"spin": p1, "spinc": p1 - 3 * c * c, "orient": -2 * p1}[base] + 2 * k * x
 
 
-@pytest.mark.parametrize("kind", sorted(SPLIT_SETTINGS))
-def test_split_defect_rearrangement(kind):
-    # the q^1 + ratio * q^0 combination of each factorized class equals a
-    # closed expression in the displayed bundle, independently of whether
-    # either side vanishes
-    ring = default_ring()
-    bundle_key, ratio, with_half_c = SPLIT_SETTINGS[kind]
-
-    cls = build_twisted_class(kind, 1, ring)
+def _split_sides(base, k, ring, ratio, rank=504, shift=None):
+    """deg12 of [q^1] + ratio [q^0] of the base twisted by k copies, and the
+    closed expression (W B)_12 - K brace_8 with B of rank ``rank``; with
+    ``shift``, the E8 factor's q^1 and V carry it."""
+    cls = anomaly._twisted_class(base, k, 1, ring, "adams")
     s12 = degree_part_series(cls, 12)
     combo = s12.coefficient(1) + ratio * s12.coefficient(0)
 
-    if with_half_c:
-        weight = multiplicative_class("Ahat", 12, ring) * _cosh_half(ring)
-    else:
+    if base == "orient":
         weight = multiplicative_class("Lhat", 12, ring)
-    bundle = _paper_bundles(ring)[bundle_key]
-    K = prefactor_exponent(kind, ring)
+    else:
+        weight = multiplicative_class("Ahat", 12, ring)
+        if base == "spinc":
+            weight = weight * _cosh_half(ring)
+    bundle = _paper_bundles(ring)[(base, k)] + (rank - 504)
+    if shift is not None:
+        bundle = bundle + k * shift
+    K = _paper_exponent(base, k, ring)
     u = exp_minus_one_over(K)
     brace8 = (-(u * weight * bundle) + _exp_over_24(K) * weight).homogeneous_part(8)
     closed = (weight * bundle).homogeneous_part(12) - K * brace8
+    return combo, closed
+
+
+#: Minus the q^1 coefficient of the weight 6 + 4k basis row, by k.
+SPLIT_RATIO = {2: 24, 1: 264}
+
+#: Each (base, k), named by its class kind where it has one.
+SPLIT_CASES = [
+    pytest.param("spin", 2, id="spin-2"),
+    pytest.param("spin", 1, id="spin-1"),
+    pytest.param("spinc", 2, id="Qc"),
+    pytest.param("spinc", 1, id="Rc"),
+    pytest.param("orient", 2, id="QL"),
+    pytest.param("orient", 1, id="RL"),
+]
+
+
+@pytest.mark.parametrize("base, k", SPLIT_CASES)
+def test_split_defect_rearrangement(base, k):
+    # the q^1 + ratio * q^0 combination of each class equals a closed
+    # expression in the displayed bundle, independently of whether either
+    # side vanishes; for the real E8 factor both vanish
+    ring = default_ring()
+    combo, closed = _split_sides(base, k, ring, SPLIT_RATIO[k])
     assert combo == closed
+    assert combo.is_zero()
+
+
+@pytest.mark.parametrize("base, k", SPLIT_CASES)
+def test_split_defect_holds_for_a_shifted_e8_factor(monkeypatch, base, k):
+    # shift the E8 factor's q^1 by x^3 and V to match: the combination no
+    # longer vanishes, and the identity still holds, so it is not 0 = 0
+    ring = default_ring()
+    x3 = ring.gen("x") ** 3
+    theta_sum = anomaly._e8_theta_sum
+
+    def shifted(ring, order):
+        return theta_sum(ring, order) + QExpSeries(ring, order, {GRID: x3})
+
+    monkeypatch.setattr(anomaly, "_e8_theta_sum", shifted)
+    combo, closed = _split_sides(base, k, ring, SPLIT_RATIO[k], shift=x3)
+    assert not combo.is_zero()
+    assert combo == closed
+
+
+@pytest.mark.parametrize("base, k", SPLIT_CASES)
+@pytest.mark.parametrize("ratio_step, rank", [(1, 504), (0, 505)])
+def test_split_defect_fails_for_a_wrong_ratio_or_rank(base, k, ratio_step, rank):
+    ring = default_ring()
+    combo, closed = _split_sides(base, k, ring, SPLIT_RATIO[k] + ratio_step, rank=rank)
+    assert combo != closed
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_spin_classes_are_modular(k):
+    # the spin base twisted by k copies is not a class kind, yet its
+    # degree-12 part is a multiple of the weight-(6 + 4k) form, as for the
+    # spin^c and orientable ones
+    ring = default_ring()
+    s12 = degree_part_series(anomaly._twisted_class("spin", k, 8, ring, "adams"), 12)
+    m = match_modular_basis(s12, 6 + 4 * k)
+    assert not m.is_zero()
+    K = _paper_exponent("spin", k, ring)
+    assert m == (multiplicative_class("Ahat", 12, ring) * _exp_over_24(K)).homogeneous_part(12)
 
 
 def test_exp_minus_one_over():
     ring = default_ring()
-    k = prefactor_exponent("Rc", ring)
+    k = _paper_exponent("spinc", 1, ring)
     u = exp_minus_one_over(k)
     assert ring.one() + k * u == _exp_over_24(k)
     with pytest.raises(ValueError):

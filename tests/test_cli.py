@@ -93,6 +93,15 @@ def test_verify_rejects_cap_below_12(capsys):
     assert "--cap must be at least 12" in err
 
 
+def test_verify_rejects_cap_above_15(capsys):
+    # above degree 15 E8 has a Weyl invariant of degree 8 in the roots, so
+    # the E8 bundle V has no character in x alone
+    code, out, err = run_cli(capsys, "verify", "--id", "all", "--cap", "16", "--order", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: " in err and "at most 15" in err
+
+
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_verify_rejects_order_below_1(capsys, order):
     code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--order", order)
@@ -137,6 +146,18 @@ def test_expand_rejects_negative_cap(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "--cap" in err and "at least 0" in err
+
+
+def test_expand_rejects_a_cap_above_15_only_where_v_enters(capsys):
+    # Qc carries two E8 copies, so its degree-16 part would not be V's
+    code, out, err = run_cli(capsys, "expand", "--class", "Qc", "--cap", "16", "--order", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: " in err and "x-only character" in err
+    # Wc carries none
+    code, out, _ = run_cli(capsys, "expand", "--class", "Wc", "--cap", "16", "--order", "1")
+    assert code == EXIT_PASS
+    assert "q^1" in out
 
 
 # ----------------------------------------------------------------------
