@@ -44,7 +44,6 @@ from .charring import (
     witten_expand,
 )
 from .thetamod import (
-    InternalCancellationError,
     NotProportional,
     PrecisionError,
     e8_character,

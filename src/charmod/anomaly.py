@@ -298,6 +298,8 @@ def cubic_form(base, k, ring):
     L = lam + k x is half the prefactor exponent K of the base twisted by k
     copies, lam = K_0 / 2 the untwisted half, and
     Q = p - lam^2 - 2 k lam x - 4 x^2 with the base's degree-8 class p.
+    L Q is the lattice cubic -f_{lam,p}(2x) of `cubiclattice` for k = 2 and
+    -ftilde_{lam,p}(x) for k = 1.
     """
     g = ring.gens()
     lam = _exponent(base, 0, ring) / 2

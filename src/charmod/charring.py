@@ -5,8 +5,9 @@ cap, multiplicative classes built from even root functions, and the
 characters of virtual bundles: a bundle is its total Chern character, a
 polynomial in the ring, so Adams operations, the exterior/symmetric square
 splitting and the q-expansions of the standard twist bundles all take and
-return characters.  Also gives the degree-4/8/12 root data of the rank-248
-bundle in closed form: the power sums of one root y with y^2 = -2x.
+return characters.  Also gives the rank-248 bundle in closed form: its root
+part R(x) = 240 - 60x + 6x^2 - x^3/3, and its degree-4/8/12 root data, the
+power sums of one root y with y^2 = -2x.
 """
 
 from __future__ import annotations
@@ -469,11 +470,19 @@ def ch_tangent(dim, ring, pontryagin_names=("p1", "p2", "p3")):
     return ch
 
 
+def e8_root_ch(x):
+    """R(x) = 240 - 60 x + 6 x^2 - x^3/3: the sum of cosh(y) over the 240
+    roots through degree 12, with y^2 = -2x along one root line."""
+    square = x * x
+    return 240 - 60 * x + 6 * square - square * x * Fraction(1, 3)
+
+
 def e8_ch(x):
-    """Character 248 - 60 x + 6 x^2 - x^3/3 of the rank-248 bundle (so c2 = 60 x)."""
+    """Character 8 + R(x) of the rank-248 bundle (so c2 = 60 x): its eight
+    Cartan directions and `e8_root_ch`."""
     if not x.is_homogeneous(4):
         raise DegreeError("x must be homogeneous of degree 4")
-    return x.ring.constant(248) - 60 * x + 6 * (x * x) - (x * x * x) * Fraction(1, 3)
+    return 8 + e8_root_ch(x)
 
 
 def line_pair_ch(c):

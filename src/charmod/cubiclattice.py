@@ -196,14 +196,16 @@ def solve_bhat(lattice, a, modulus=24, samples=None, seed=None):
 
 
 def _poly_f(lattice, a, b, x):
-    """f_{a,b}(x) = (a+x)^3 - b(a+x), products through T."""
+    """f_{a,b}(x) = (a+x)^3 - b(a+x), products through T; the registry's
+    cubic form with two E8 copies is L Q = -f_{lam,p}(2x), lam = K_0/2."""
     y = list(map(add, a, x))
     return lattice.cube(y) - sum(map(mul, y, b))
 
 
 def _poly_f_tilde(lattice, a, shifted_b, x):
     """4(a+x)^3 - 6a(a+x)^2 - (b - 3a^2)(a+x), products through T, with
-    ``shifted_b`` = b - 3a^2."""
+    ``shifted_b`` = b - 3a^2; the registry's cubic form with one E8 copy
+    is L Q = -ftilde_{lam,p}(x)."""
     y = list(map(add, a, x))
     quad = lattice.trilinear(a, y, y)
     return 4 * lattice.cube(y) - 6 * quad - sum(map(mul, y, shifted_b))

@@ -1,8 +1,9 @@
 """Modular q-series: Eisenstein series, theta products and their log-ratios,
-the rank-248 character built from eighth powers of theta constants, the
-even unimodular rank-8 lattice theta, numeric checks of the modular
-transformation laws, and matching of q-series against one-dimensional
-spaces of modular forms.
+eighth powers of theta constants, the rank-248 character in closed form
+(the rank-8 lattice theta along one line), the even unimodular rank-8
+lattice theta by counting, numeric checks of the modular transformation
+laws, and matching of q-series against one-dimensional spaces of modular
+forms.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from functools import lru_cache
 from math import factorial, isqrt
 
 from .exactmath import GRID, RAT_RING, QExpSeries, qs_inv, qs_mul
-from .charring import ArgumentError, exp_combination
-
-
-class InternalCancellationError(ArithmeticError):
-    """Fractional-exponent terms survived a sum that must be integral."""
+from .charring import ArgumentError, e8_root_ch
 
 
 class PrecisionError(ArithmeticError):
@@ -184,33 +181,27 @@ def theta_eighth_sum(order):
 
 def e8_theta_sum(g, order):
     """phi^8 times the character q-series of the rank-248 bundle with
-    degree-4/8/12 root power sums g = (g1, g2, g3).
+    degree-4/8/12 root power sums g = (g1, g2, g3), in closed form:
+    1 + sum_{n>=1} sigma_3(n) R(n x) q^n with x = -g1/2 and R = `e8_root_ch`.
 
-    It is the theta sum (1/2) sum over the three even theta kinds a of
-    theta_a(0)^8 exp(sum_k c_{a,k}(q) g_k), taken as it stands, with no
-    division.  The sum must live on whole q-powers; surviving fractional
-    exponents raise InternalCancellationError.
+    It is the rank-8 lattice theta along one line, sum_v q^(|v|^2/2)
+    cosh(v_1 y) with y^2 = -2x; its x^j coefficient, j <= 3, is a multiple
+    of (q d/dq)^j E4, as there are no cusp forms of weight 6, 8 or 10.
+    Below degree 16 every Weyl invariant of the roots is a power of the
+    quadratic one (Chevalley), so g2 and g3 are checked for degree but not
+    read; at a cap of 16 or more, nonzero g raises ArgumentError.
     """
     g1, g2, g3 = g
     ring = g1.ring
     for value, degree in ((g1, 4), (g2, 8), (g3, 12)):
         if not value.is_zero() and not value.is_homogeneous(degree):
             raise ArgumentError("g-class of degree %d is not homogeneous" % degree)
-    order = int(order)
-
-    acc = QExpSeries.zero(ring, order)
-    for kind in ("theta1", "theta2", "theta3"):
-        exponential = exp_combination(zip(theta_log_ratio(kind, order), g), ring, order)
-        theta8 = series_in_ring(theta_zero_power8(kind, order), ring)
-        acc = acc + qs_mul(theta8, exponential)
-    acc = acc.scale(Fraction(1, 2))
-
-    for grid_key in acc.terms:
-        if grid_key % GRID != 0:
-            raise InternalCancellationError(
-                "fractional exponent q^(%d/%d) survived the theta sum" % (grid_key, GRID)
-            )
-    return acc
+    if ring.cap >= 16 and not (g1.is_zero() and g2.is_zero() and g3.is_zero()):
+        raise ArgumentError("a cap above 15 leaves the E8 bundle no character in g1 alone, got %d"
+                            % ring.cap)
+    x = g1 * Fraction(-1, 2)
+    coeffs = [ring.one()] + [e8_root_ch(x * n) * _sigma(3, n) for n in range(1, int(order) + 1)]
+    return QExpSeries.from_q_coeffs(ring, order, coeffs)
 
 
 def e8_character(g, order):

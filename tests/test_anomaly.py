@@ -365,6 +365,54 @@ def test_cubic_form_matches_the_paper(base, k):
     assert cubic_form(base, k, ring) == _paper_forms(ring)[(base, k)]
 
 
+def _paper_lam_p(ring):
+    """(lam, p) of each base as the paper writes them: lam = K_0/2, half
+    the untwisted prefactor exponent, and p the degree-8 class."""
+    g = ring.gens()
+    p1, p2, c = g["p1"], g["p2"], g["c"]
+    lam = p1 * Fraction(1, 2)
+    return {
+        "spin": (lam, (p2 - lam * lam) * Fraction(1, 2)),
+        "spinc": (
+            (p1 - 3 * c * c) * Fraction(1, 2),
+            (4 * p2 - p1 * p1 - 6 * p1 * c * c + 39 * c ** 4) * Fraction(1, 8),
+        ),
+        "orient": (-p1, 4 * p1 * p1 - 7 * p2),
+    }
+
+
+def _lattice_f(a, b, y):
+    """f_{a,b}(y) = (a + y)^3 - b (a + y), as `cubiclattice._poly_f`."""
+    z = a + y
+    return z * z * z - b * z
+
+
+def _lattice_f_tilde(a, b, y):
+    """4(a + y)^3 - 6a(a + y)^2 - (b - 3a^2)(a + y), as
+    `cubiclattice._poly_f_tilde`."""
+    z = a + y
+    return 4 * z * z * z - 6 * a * z * z - (b - 3 * a * a) * z
+
+
+@pytest.mark.parametrize("base", ["spin", "spinc", "orient"])
+def test_cubic_forms_are_the_lattice_cubics(base):
+    # L Q with two E8 copies is the WFH cubic -f(2x) and with one copy the
+    # new cubic -ftilde(x); L Q = (1 - k) lam (p - lam^2) - k (4x^3 + 6 lam
+    # x^2 + 3 lam^2 x - p x) matches them for k^2 - 3k + 2 = 0 only
+    ring = default_ring()
+    x = ring.gen("x")
+    lam, p = _paper_lam_p(ring)[base]
+    wfh, new = -_lattice_f(lam, p, 2 * x), -_lattice_f_tilde(lam, p, x)
+    products = {}
+    for k in range(4):
+        L, Q = cubic_form(base, k, ring)
+        products[k] = L * Q
+    assert products[2] == wfh
+    assert products[1] == new
+    for k in (0, 3):
+        assert products[k] != wfh and products[k] != new, k
+
+
 @pytest.mark.parametrize("base, k", FORM_KEYS)
 def test_index_bundle_matches_the_paper(base, k):
     ring = default_ring()

@@ -90,7 +90,10 @@ def test_verify_rejects_cap_below_12(capsys):
     code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--cap", "8")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--cap must be at least 12" in err
+    assert err == (
+        "error: cap must be at least 12 to hold the degree-12 parts and at most 15 "
+        "to leave V a character in x alone, got 8\n"
+    )
 
 
 def test_verify_rejects_cap_above_15(capsys):
@@ -107,7 +110,7 @@ def test_verify_rejects_order_below_1(capsys, order):
     code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--order", order)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--order must be at least 1" in err
+    assert err == "error: order must be at least 1 to match q^1 in the fact checks, got %s\n" % order
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,65 @@ def test_every_imported_name_is_used(module):
 def test_unused_import_check_flags_an_unused_name():
     source = "import time\nfrom .charring import e8_ch, vb_adams\n\ne8_ch(time.time())\n"
     assert unused_imports(source) == ["vb_adams"]
+
+
+def _is_builtin_exception(name):
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def unraised_exceptions(sources):
+    """Exception classes the sources define but never raise or pass to
+    ``warnings.warn``.  A class is an exception class when one of its bases
+    is a builtin exception or another exception class of the sources."""
+    trees = [ast.parse(source) for source in sources]
+    bases = {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    exceptions = set()
+    while True:
+        found = {
+            name
+            for name, names in bases.items()
+            if any(base in exceptions or _is_builtin_exception(base) for base in names)
+        }
+        if found == exceptions:
+            break
+        exceptions = found
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(raised, ast.Name):
+                    used.add(raised.id)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+                used.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    return sorted(exceptions - used)
+
+
+def test_every_exception_class_is_raised():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unraised_exceptions(sources) == []
+
+
+def test_unraised_exception_check_flags_an_unraised_class():
+    source = (
+        "import warnings\n"
+        "class BaseFault(ValueError):\n    pass\n"
+        "class Raised(BaseFault):\n    pass\n"
+        "class Warned(UserWarning):\n    pass\n"
+        "class Unraised(BaseFault):\n    pass\n"
+        "class Plain:\n    pass\n"
+        "def f(x):\n"
+        "    if x:\n        raise Raised('x')\n"
+        "    warnings.warn('y', Warned)\n"
+        "    raise BaseFault\n"
+    )
+    assert unraised_exceptions([source]) == ["Unraised"]
 
 
 def test_benchmark_lists_the_registry_ids_in_order():

@@ -1,13 +1,20 @@
 """Tests for the modular layer: Eisenstein series, the Euler product, theta
 log-ratios against divisor-sum oracles, eighth-power sums, the rank-248
-character, and floating-point transformation-law checks."""
+character and its closed form against the theta-sum oracle, and
+floating-point transformation-law checks."""
 
 import cmath
 from fractions import Fraction
 
 import pytest
 
-from charmod.charring import ArgumentError, PolyRing, calibrate_e8_roots, default_ring
+from charmod.charring import (
+    ArgumentError,
+    PolyRing,
+    calibrate_e8_roots,
+    default_ring,
+    exp_combination,
+)
 from charmod.exactmath import (
     GRID,
     RAT_RING,
@@ -329,6 +336,52 @@ def test_theta_sum_is_phi8_times_the_character(calibrated):
     theta_sum = e8_theta_sum(g, n)
     assert theta_sum == qs_mul(series_in_ring(phi(n) ** 8, ring), e8_character(g, n))
     assert theta_sum.coefficient(1).constant_term() == 240
+
+
+def theta_sum_oracle(g, order):
+    """The E8 factor as the theta sum (1/2) sum_a theta_a(0)^8
+    exp(sum_k c_{a,k}(q) g_k) over the three even theta kinds a, from the
+    theta log-ratios c_{a,k} and the eighth powers; the half-integral
+    powers of theta2^8 and theta3^8 must cancel."""
+    ring = g[0].ring
+    acc = QExpSeries.zero(ring, order)
+    for kind in ("theta1", "theta2", "theta3"):
+        exponential = exp_combination(zip(theta_log_ratio(kind, order), g), ring, order)
+        acc = acc + qs_mul(series_in_ring(theta_zero_power8(kind, order), ring), exponential)
+    assert all(grid_key % GRID == 0 for grid_key in acc.terms)
+    return acc.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("cap", [12, 15])
+def test_closed_form_matches_the_theta_sum(cap):
+    ring = default_ring(cap)
+    g = calibrate_e8_roots(ring.gen("x"))
+    assert e8_theta_sum(g, 24) == theta_sum_oracle(g, 24)
+
+
+@pytest.mark.parametrize("cap", [12, 15])
+def test_closed_form_matches_the_theta_sum_in_free_generators(cap):
+    # below degree 16 the theta sum does not depend on g2 and g3, which
+    # the closed form does not read
+    gring = PolyRing({"g1": 4, "g2": 8, "g3": 12}, cap=cap)
+    g = gring.gens()
+    zero = gring.zero()
+    expected = theta_sum_oracle((g["g1"], g["g2"], g["g3"]), 8)
+    assert theta_sum_oracle((g["g1"], zero, zero), 8) == expected
+    assert e8_theta_sum((g["g1"], g["g2"], g["g3"]), 8) == expected
+
+
+def test_e8_factor_rejects_a_cap_of_16_or_more():
+    # from degree 16 on E8 has a Weyl invariant of degree 8 in the roots,
+    # which no power sums (g1, g2, g3) carry; with g = 0 the factor is E4
+    ring = default_ring(16)
+    g = calibrate_e8_roots(ring.gen("x"))
+    with pytest.raises(ArgumentError):
+        e8_theta_sum(g, 2)
+    with pytest.raises(ArgumentError):
+        e8_character(g, 2)
+    zero = ring.zero()
+    assert e8_theta_sum((zero, zero, zero), 6) == series_in_ring(eisenstein(4, 6), ring)
 
 
 # ----------------------------------------------------------------------
