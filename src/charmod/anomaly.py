@@ -34,6 +34,7 @@ from .charring import (
     power_sums_from_pontryagin,
     vb_lambda2_sym2,
     witten_character,
+    witten_log,
 )
 from .thetamod import (
     NotProportional,
@@ -146,13 +147,13 @@ def _e8_theta_sum(ring, order):
 
 #: The three bases of the paper's generalized Witten classes: spin,
 #: spin^c and orientable manifolds.  Each maps to the p1 and c^2
-#: coefficients of its prefactor exponent K, the twist spec of its Witten
-#: series (spin^c twists by the line pair xi of c), the multiplicative
-#: class of its weight (times cosh(c/2) for spin^c), and the two constants
-#: every registry weight derives from: w, the weight of Q in the degree-8
-#: displays, and c, the index weight of one E8 copy.  The base twisted by
-#: k copies is modular of weight 6 + 4k, and its theorem weighs the index
-#: density c/k and the cubic form 2wc/k.
+#: coefficients of K_0, the prefactor exponent of its class with no E8
+#: copy, the twist spec of its Witten series (spin^c twists by the line
+#: pair xi of c), the multiplicative class of its weight (times cosh(c/2)
+#: for spin^c), and the two constants every registry weight derives from:
+#: w, the weight of Q in the degree-8 displays, and c, the index weight of
+#: one E8 copy.  The base twisted by k copies is modular of weight 6 + 4k,
+#: and its theorem weighs the index density c/k and the cubic form 2wc/k.
 _BASES = {
     "spin": ((1, 0), "Theta", "Ahat", Fraction(1, 24), Fraction(1, 2)),
     "spinc": ((1, -3), "ThetaTwisted", "Ahat", Fraction(1, 24), Fraction(1)),
@@ -192,21 +193,26 @@ def _weight_class(base, ring):
     return weight
 
 
+def _witten_args(base, ring):
+    """The twist spec and inputs of a base's Witten series: the tangent
+    character, and xi for spin^c."""
+    xi = [line_pair_ch(ring.gen("c"))] if base == "spinc" else []
+    return _BASES[base][1], [_tangent(ring)] + xi
+
+
 @lru_cache(maxsize=None)
-def _witten_series(base, ring, order):
-    """The Witten series of a base, over the tangent character (and xi)."""
-    inputs = [_tangent(ring)]
-    if base == "spinc":
-        inputs.append(line_pair_ch(ring.gen("c")))
-    return witten_character(_BASES[base][1], inputs, order)
-
-
-def _core_theta(base, order, ring):
-    """The weighted Witten series of a base from the theta log-ratios."""
+def _base_factor(base, order, ring, route):
+    """F = exp((1/24) E2 K_0) W (Witten series), a base's class with no E8
+    copy, as one `exp_combination` of the prefactor pair and the Witten log:
+    over the inputs' Adams images, then times W ("adams"), or from theta
+    log-ratios over root power sums, whose q^0 parts are log W ("theta")."""
+    pairs = [(eisenstein(2, order), _exponent(base, 0, ring) * Fraction(1, 24))]
+    if route == "adams":
+        pairs += witten_log(*_witten_args(base, ring), order)
+        return exp_combination(pairs, ring, order).scale(_weight_class(base, ring))
     g = ring.gens()
     sums = power_sums_from_pontryagin([g["p1"], g["p2"], g["p3"]], 3)
-    tangent_kind = "lhat" if base == "orient" else "theta"
-    pairs = list(zip(theta_log_ratio(tangent_kind, order), sums))
+    pairs += zip(theta_log_ratio("lhat" if base == "orient" else "theta", order), sums)
     if base == "spinc":
         c_powers = [g["c"] ** 2, g["c"] ** 4, g["c"] ** 6]
         for kind_name in ("theta1", "theta2", "theta3"):
@@ -214,6 +220,12 @@ def _core_theta(base, order, ring):
     out = exp_combination(pairs, ring, order)
     # the per-root constant 2 of the Lhat root function, over six roots
     return out.scale(64) if base == "orient" else out
+
+
+@lru_cache(maxsize=None)
+def _copy_prefactor(ring, order):
+    """exp((1/12) E2 x): the part of the prefactor that one E8 copy adds."""
+    return exp_combination([(eisenstein(2, order), ring.gen("x") * Fraction(1, 12))], ring, order)
 
 
 def build_twisted_class(kind, order, ring=None, route="adams"):
@@ -230,21 +242,19 @@ def build_twisted_class(kind, order, ring=None, route="adams"):
 
 
 def _twisted_class(base, copies, order, ring, route):
-    """exp((1/24) E2 K) times the weighted Witten series of a base times
-    the E8 factor once per copy.  Raises ArgumentError for copies and a cap
-    of 16 or more: above degree 15 E8 has a Weyl invariant of degree 8 in
-    the roots, so V has no character in x alone there."""
+    """F B^copies: the base factor F times, once per copy, the bracket
+    B = exp((1/12) E2 x) (E8 factor), as K = K_0 + 2 copies x splits the
+    prefactor.  F and exp((1/12) E2 x) are cached, and the E8 factor is
+    read on each call.  Raises ArgumentError for copies and a cap of 16 or
+    more: above degree 15 E8 has a Weyl invariant of degree 8 in the
+    roots, so V has no character in x alone there."""
     if copies and ring.cap >= 16:
         raise ArgumentError("a cap above 15 leaves the E8 bundle V no x-only character, got %d"
                             % ring.cap)
-    if route == "adams":
-        core = _witten_series(base, ring, order).scale(_weight_class(base, ring))
-    else:
-        core = _core_theta(base, order, ring)
-    pairs = [(eisenstein(2, order), _exponent(base, copies, ring) * Fraction(1, 24))]
-    out = qs_mul(exp_combination(pairs, ring, order), core)
+    out = _base_factor(base, order, ring, route)
     if copies:
-        out = qs_mul(out, _e8_theta_sum(ring, order) ** copies)
+        bracket = qs_mul(_copy_prefactor(ring, order), _e8_theta_sum(ring, order))
+        out = qs_mul(out, bracket ** copies)
     return out
 
 
@@ -583,7 +593,7 @@ def q1_bundle_sides(reg_id, ring):
     """Character of the q^1 coefficient of the base's Witten series (LHS)
     and of the displayed bundle B1 or D1 (RHS)."""
     base, _ = _row(reg_id, _check_q1_bundle)
-    return _witten_series(base, ring, 1).coefficient(1), _q1_bundle(base, ring)
+    return witten_character(*_witten_args(base, ring), 1).coefficient(1), _q1_bundle(base, ring)
 
 
 def _check_q1_bundle(reg_id, order, cap):

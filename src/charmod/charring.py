@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
 
-from .exactmath import GRID, NotInvertible, QExpSeries, _exp_nilpotent, _nilpotent_sum, _power, qs_exp
+from .exactmath import GRID, RAT_RING, NotInvertible, QExpSeries, qs_exp
+from .exactmath import _exp_nilpotent, _nilpotent_sum, _power
 
 
 class DegreeError(ValueError):
@@ -540,59 +541,47 @@ _WITTEN_SPECS = {
 }
 
 
-def _reduced(ch):
-    """``ch`` minus its rank, which must be an integer."""
-    rank = ch.constant_term()
-    if rank.denominator != 1:
-        raise ArgumentError("reduction needs an integer rank, got %s" % rank)
-    return ch - rank
-
-
-def _accumulate(terms, key, piece):
-    if key in terms:
-        terms[key] = terms[key] + piece
-    else:
-        terms[key] = piece
-
-
 def exp_combination(pairs, ring, order):
     """exp(sum_i s_i(q) P_i) truncated at q^order, for ``(s_i, P_i)`` pairs
-    of a rational q-series and an element of ``ring``."""
+    of a rational q-series and an element of ``ring``; the one `qs_exp` caller."""
     terms = {}
     for series, element in pairs:
         for grid_key, coeff in series.terms.items():
-            _accumulate(terms, grid_key, element * coeff)
+            piece = element * coeff
+            terms[grid_key] = terms[grid_key] + piece if grid_key in terms else piece
     return qs_exp(QExpSeries(ring, order, terms))
 
 
-def witten_character(spec_id, inputs, order):
-    """q-expansion of a standard twist bundle as a QExpSeries of characters.
-
-    ``inputs`` supplies the ingredient characters ([tangent] or
-    [tangent, twist]), each of integer rank; the series lives over the
-    tangent character's ring.  The support is whole for every id except
-    Theta2/Theta3, whose support is half-integral.
-    """
+def witten_log(spec_id, inputs, order):
+    """The log of `witten_character` as ``(s_k(q), psi^k E)`` pairs for
+    `exp_combination`, one per input ([tangent] or [tangent, twist], each
+    of integer rank) and Adams power k: E is the input's reduced character
+    and s_k the rational series the input's factor families give it."""
     if spec_id not in _WITTEN_SPECS:
         raise SpecError("unknown twist-bundle id %r" % (spec_id,))
     families = _WITTEN_SPECS[spec_id]
     needed = 1 + max(index for index, _ in families)
     if len(inputs) < needed:
         raise ArgumentError("%s needs %d inputs, got %d" % (spec_id, needed, len(inputs)))
-    order = int(order)
-    limit = GRID * order
-    psi = {}
-    terms = {}
+    ranks = [ch.constant_term() for ch in inputs[:needed]]
+    if any(rank.denominator != 1 for rank in ranks):
+        raise ArgumentError("each input needs an integer rank, got %s" % ", ".join(map(str, ranks)))
+    limit = GRID * int(order)
+    series = defaultdict(lambda: defaultdict(Fraction))
     for index, (alternating, sign, half_steps) in families:
         for step in range(GRID // 2 if half_steps else GRID, limit + 1, GRID):
             for k in range(1, limit // step + 1):
-                if (index, k) not in psi:
-                    psi[(index, k)] = _reduced(vb_adams(inputs[index], k))
-                coeff = Fraction(sign ** k, k)
-                if alternating and k % 2 == 0:
-                    coeff = -coeff
-                _accumulate(terms, step * k, psi[(index, k)] * coeff)
-    return qs_exp(QExpSeries(inputs[0].ring, order, terms))
+                flip = -1 if alternating and k % 2 == 0 else 1
+                series[(index, k)][step * k] += Fraction(flip * sign ** k, k)
+    return [(QExpSeries(RAT_RING, order, terms), vb_adams(inputs[index], k) - ranks[index])
+            for (index, k), terms in series.items()]
+
+
+def witten_character(spec_id, inputs, order):
+    """q-expansion of a standard twist bundle as a QExpSeries of characters,
+    the exp of `witten_log`, over the tangent character's ring.  The support
+    is whole for every id except Theta2/Theta3, whose support is half-integral."""
+    return exp_combination(witten_log(spec_id, inputs, order), inputs[0].ring, order)
 
 
 def witten_expand(spec_id, inputs, order):

@@ -2,11 +2,12 @@
 factorization and degree-8 displays, boundary comparisons, residue-2
 reductions, and the report plumbing."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from charmod import anomaly, exactmath, thetamod
+from charmod import anomaly, charring, exactmath, thetamod
 from charmod.anomaly import (
     CLASS_KINDS,
     DEG8_IDS,
@@ -34,12 +35,16 @@ from charmod.anomaly import (
 from charmod.charring import (
     ArgumentError,
     PolyRing,
+    ch_tangent,
     default_ring,
+    e8_ch,
+    exp_combination,
+    line_pair_ch,
     multiplicative_class,
     witten_expand,
 )
 from charmod.exactmath import GRID, QExpSeries, _exp_nilpotent, qs_inv, qs_mul
-from charmod.thetamod import match_modular_basis, modular_basis
+from charmod.thetamod import eisenstein, match_modular_basis, modular_basis
 
 FACT_IDS = [reg_id for reg_id in REGISTRY_IDS if reg_id.startswith("fact_")]
 
@@ -601,6 +606,120 @@ def test_spin_classes_are_modular(k):
     assert m == (multiplicative_class("Ahat", 12, ring) * _exp_over_24(K)).homogeneous_part(12)
 
 
+@pytest.mark.parametrize("route", ["adams", "theta"])
+def test_each_base_and_the_copy_prefactor_take_one_exp(monkeypatch, route):
+    # one qs_exp per base factor F and one for exp(E2 x/12), however many
+    # kinds share a base or carry copies
+    anomaly._base_factor.cache_clear()
+    anomaly._copy_prefactor.cache_clear()
+    calls = []
+
+    def counting_exp(a):
+        calls.append(a)
+        return exactmath.qs_exp(a)
+
+    monkeypatch.setattr(charring, "qs_exp", counting_exp)
+    ring = default_ring()
+    for kind in CLASS_KINDS:
+        build_twisted_class(kind, 4, ring, route)
+    assert len(calls) == 4
+
+
+# ----------------------------------------------------------------------
+# closed forms of the base factor F and the bracket B
+# ----------------------------------------------------------------------
+
+
+def _divisor_sum(power, n):
+    return sum(d ** power for d in range(1, n + 1) if n % d == 0)
+
+
+def _eisenstein_in(ring, weight, order):
+    """E4 or E6 through q^order with constant coefficients in ``ring``."""
+    front = {4: 240, 6: -504}[weight]
+    tail = [ring.constant(front * _divisor_sum(weight - 1, n)) for n in range(1, order + 1)]
+    return QExpSeries.from_q_coeffs(ring, order, [ring.one()] + tail)
+
+
+def _e4_e6_shape(series):
+    """b0 + b8 E4 + b12 E6, with b_d the degree-d part of the q^0
+    coefficient of ``series``: the closed form of a base factor F."""
+    ring, order = series.ring, series.order
+    b = series.coefficient(0)
+    return (
+        QExpSeries(ring, order, {0: b.homogeneous_part(0)})
+        + _eisenstein_in(ring, 4, order).scale(b.homogeneous_part(8))
+        + _eisenstein_in(ring, 6, order).scale(b.homogeneous_part(12))
+    )
+
+
+def _bracket_closed_form(ring, order):
+    """B = sum_{j<=3} (x/12)^j/j! E_{4+2j}, with E8 = E4^2 and E10 = E4 E6:
+    the modified Taylor coefficients of the Jacobi Eisenstein series E_{4,1}
+    (Eichler-Zagier, The Theory of Jacobi Forms, 1985, section 3)."""
+    e4, e6 = _eisenstein_in(ring, 4, order), _eisenstein_in(ring, 6, order)
+    y = ring.gen("x") / 12
+    out = QExpSeries.zero(ring, order)
+    for j, form in enumerate((e4, e6, qs_mul(e4, e4), qs_mul(e4, e6))):
+        out = out + form.scale(y ** j / math.factorial(j))
+    return out
+
+
+def _e8_factor(ring, order, sigma_power=3, r_square=6):
+    """1 + sum_n sigma(n) R(n x) q^n, with sigma the sum of the
+    ``sigma_power``-th powers of the divisors and
+    R(t) = 240 - 60 t + ``r_square`` t^2 - t^3/3."""
+    x = ring.gen("x")
+
+    def r(t):
+        return 240 - 60 * t + r_square * t * t - t * t * t / 3
+
+    tail = [r(x * n) * _divisor_sum(sigma_power, n) for n in range(1, order + 1)]
+    return QExpSeries.from_q_coeffs(ring, order, [ring.one()] + tail)
+
+
+@pytest.mark.parametrize("route", ["adams", "theta"])
+@pytest.mark.parametrize("cap", [12, 15])
+@pytest.mark.parametrize("base", ["spin", "spinc", "orient"])
+def test_twisted_classes_are_f_times_b_to_the_k_in_closed_form(base, cap, route):
+    # F = b0 + b8 E4 + b12 E6 and B = sum_j (x/12)^j/j! E_{4+2j}, so the
+    # degree-12 part of F B^k is a form of weight 6 + 4k, where the space
+    # is one-dimensional: the reason every fact_* id passes
+    ring = default_ring(cap)
+    order = 24
+    F = anomaly._twisted_class(base, 0, order, ring, route)
+    assert F == _e4_e6_shape(F)
+    b = F.coefficient(0)
+    assert b.constant_term() == (64 if base == "orient" else 1)
+    assert not b.homogeneous_part(8).is_zero()
+    assert not b.homogeneous_part(12).is_zero()
+    B = _bracket_closed_form(ring, order)
+    assert anomaly._twisted_class(base, 1, order, ring, route) == qs_mul(F, B)
+    assert anomaly._twisted_class(base, 2, order, ring, route) == qs_mul(F, qs_mul(B, B))
+
+
+@pytest.mark.parametrize("base", ["spin", "spinc", "orient"])
+def test_base_factor_shape_fails_for_e2_over_12(base):
+    # control: the prefactor exp(E2 K0/12) in place of exp(E2 K0/24)
+    ring = default_ring()
+    F = anomaly._twisted_class(base, 0, 8, ring, "adams")
+    extra = exp_combination([(eisenstein(2, 8), _paper_exponent(base, 0, ring) / 24)], ring, 8)
+    wrong = qs_mul(F, extra)
+    assert wrong != _e4_e6_shape(wrong)
+
+
+@pytest.mark.parametrize("sigma_power, r_square", [(3, 7), (1, 6)], ids=["R-6-to-7", "sigma3-to-sigma1"])
+def test_bracket_closed_form_fails_for_a_wrong_e8_factor(monkeypatch, sigma_power, r_square):
+    ring = default_ring()
+    assert _e8_factor(ring, 8) == anomaly._e8_theta_sum(ring, 8)
+    wrong = _e8_factor(ring, 8, sigma_power, r_square)
+    monkeypatch.setattr(anomaly, "_e8_theta_sum", lambda ring, order: wrong)
+    B = _bracket_closed_form(ring, 8)
+    for base in ("spin", "spinc", "orient"):
+        F = anomaly._twisted_class(base, 0, 8, ring, "adams")
+        assert anomaly._twisted_class(base, 1, 8, ring, "adams") != qs_mul(F, B), base
+
+
 def test_exp_minus_one_over():
     ring = default_ring()
     k = _paper_exponent("spinc", 1, ring)
@@ -807,6 +926,39 @@ def test_differ_fails_when_both_sides_are_zero(monkeypatch, which):
     report = verify_identity(which)
     assert report.status == "fail"
     assert report.witness == "both sides are 0"
+
+
+def _tanh_coefficients(count):
+    """Taylor coefficients t_0..t_{count-1} of tanh, from
+    sinh = tanh cosh by long division of the Fraction series."""
+    sinh = [Fraction(n % 2, math.factorial(n)) for n in range(count)]
+    cosh = [Fraction(1 - n % 2, math.factorial(n)) for n in range(count)]
+    out = []
+    for n in range(count):
+        out.append(sinh[n] - sum(cosh[j] * out[n - j] for j in range(1, n + 1)))
+    return out
+
+
+@pytest.mark.parametrize("which", ["differ1", "differ2"])
+def test_boundary_tanh_term_uses_tanh_of_e_over_4(which):
+    # (1/2) Ahat(T_U) ch(bundle) tanh(e/4) in degree 10, with tanh from its
+    # own series and the bundles as the docstring names them
+    ru = boundary_ring()
+    g = ru.gens()
+    e = g["e"]
+    names = ("tP1", "tP2")
+    ahat = multiplicative_class("Ahat", 10, ru, pontryagin_names=names)
+    t_u_plus_n = ch_tangent(10, ru, pontryagin_names=names) + line_pair_ch(e)
+    i_v = e8_ch(g["tx"])
+    bundle = {"differ1": 2 * i_v + t_u_plus_n - 4, "differ2": i_v + t_u_plus_n + 244}[which]
+
+    def term(tanh):
+        return ((ahat * bundle * tanh) / 2).homogeneous_part(10)
+
+    tanh = sum((t * (e / 4) ** n for n, t in enumerate(_tanh_coefficients(6))), ru.zero())
+    assert boundary_tanh_term(which, ru) == term(tanh)
+    # control: e^3/96 in place of e^3/192
+    assert term(tanh - e ** 3 / 192) != term(tanh)
 
 
 def test_differ_data_fields():

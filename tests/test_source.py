@@ -38,6 +38,51 @@ def test_unused_import_check_flags_an_unused_name():
     assert unused_imports(source) == ["vb_adams"]
 
 
+def functions_referencing(source, name):
+    """Innermost functions whose bodies read ``name``, as a bare name or an
+    attribute, sorted; "<module>" for a read outside every function.  An
+    import of ``name`` is not a read."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_only_exp_combination_calls_qs_exp():
+    # every series exponential goes through one builder
+    found = {
+        path.name: functions_referencing(path.read_text(), "qs_exp")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {module: names for module, names in found.items() if names} == {
+        "charring.py": ["exp_combination"]
+    }
+
+
+def test_qs_exp_check_flags_every_other_reader():
+    source = (
+        "from . import exactmath\n"
+        "from .exactmath import qs_exp\n"
+        "def exp_combination(s):\n    return qs_exp(s)\n"
+        "def witten_character(s):\n"
+        "    def inner():\n        return exactmath.qs_exp(s)\n"
+        "    return inner()\n"
+        "build = qs_exp\n"
+    )
+    assert functions_referencing(source, "qs_exp") == ["<module>", "exp_combination", "inner"]
+
+
 def _is_builtin_exception(name):
     value = getattr(builtins, name, None)
     return isinstance(value, type) and issubclass(value, BaseException)

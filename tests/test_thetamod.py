@@ -362,13 +362,16 @@ def test_closed_form_matches_the_theta_sum(cap):
 @pytest.mark.parametrize("cap", [12, 15])
 def test_closed_form_matches_the_theta_sum_in_free_generators(cap):
     # below degree 16 the theta sum does not depend on g2 and g3, which
-    # the closed form does not read
+    # the closed form does not read; nor does the character, which is the
+    # theta sum over phi^8
     gring = PolyRing({"g1": 4, "g2": 8, "g3": 12}, cap=cap)
     g = gring.gens()
     zero = gring.zero()
     expected = theta_sum_oracle((g["g1"], g["g2"], g["g3"]), 8)
     assert theta_sum_oracle((g["g1"], zero, zero), 8) == expected
     assert e8_theta_sum((g["g1"], g["g2"], g["g3"]), 8) == expected
+    character = e8_character((g["g1"], g["g2"], g["g3"]), 8)
+    assert qs_mul(character, series_in_ring(phi(8) ** 8, gring)) == expected
 
 
 def test_e8_factor_rejects_a_cap_of_16_or_more():
