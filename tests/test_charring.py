@@ -485,3 +485,19 @@ def test_calibrated_character_first_coefficient():
     char = e8_character(calibrate_e8_roots(x), 2)
     assert char.coefficient(0) == ring.one()
     assert char.coefficient(1) == e8_ch(x)
+
+
+def test_character_ignores_higher_calibration_slots():
+    # below degree 16 every invariant is a polynomial in the quadratic one,
+    # so the degree-8/12 slots cannot influence the assembled character;
+    # in free generators the quadratic slot must still move it
+    ring = PolyRing({"g1": 4, "g2": 8, "g3": 12}, cap=15)
+    g = ring.gens()
+    zero = ring.zero()
+    character = e8_character((g["g1"], g["g2"], g["g3"]), 3)
+    assert character == e8_character((g["g1"], zero, zero), 3)
+    assert character != e8_character((zero, g["g2"], g["g3"]), 3)
+    x = default_ring().gen("x")
+    g1, _, _ = calibrate_e8_roots(x)
+    zero = x.ring.zero()
+    assert e8_character(calibrate_e8_roots(x), 3) == e8_character((g1, zero, zero), 3)
