@@ -601,71 +601,53 @@ def _check_q1_bundle(reg_id, order, cap):
     return _witness(lhs, rhs), [], [], {}
 
 
-def _compare_residues(cases, images, problems):
-    """Reduce each ``(label, poly, expected)`` case mod 2 under ``images``,
-    append a problem for each residue that differs from ``expected``, and
-    return the residues as report data."""
-    data = {}
-    for label, poly, expected in cases:
-        got = mod2_reduce(poly, images)
+def _check_residues(reg_id, order, cap):
+    """Residues mod 2 of a base's degree-8 class p, of p~ = p - 3 lam^2 and,
+    for spin^c, of lam = K_0 / 2, with p and lam read from `_P_CLASSES` and
+    `_BASES` as `cubic_form` reads them.  For spin^c each class is written
+    in the integral generators q1, q2, c with p1 = 2 q1 + c^2 and
+    p2 = 2 q2 + q1^2, where it must equal its displayed integral form; the
+    orientable classes stay in p1 and p2.  A class that `mod2_reduce`
+    rejects, for a non-integer coefficient or a generator with no residue
+    image, fails with a witness."""
+    base, _ = _row(reg_id, _check_residues)
+    ring = default_ring(8)
+    g = ring.gens()
+    p = _P_CLASSES[base](g["p1"], g["p2"], g["c"])
+    lam = _exponent(base, 0, ring) / 2
+    w2, w4, w8 = (MOD2_RING.gen(name) for name in ("w2", "w4", "w8"))
+    problems, data, assumptions = [], {}, []
+    if base == "spinc":
+        q_ring = PolyRing({"q1": 4, "q2": 8, "c": 2}, cap=8)
+        q1, q2, c = (q_ring.gen(name) for name in ("q1", "q2", "c"))
+        integral = {"p1": 2 * q1 + c * c, "p2": 2 * q2 + q1 * q1, "c": c}
+        p, lam = (_substitute(v, integral, q_ring) for v in (p, lam))
+        images = {"q1": w4, "q2": w8, "c": w2}
+        cases = (
+            ("p_c", p, q2 - 2 * q1 * c * c + 4 * c ** 4, w8),
+            ("pt_c", p - 3 * lam * lam, q2 - 3 * q1 * q1 + 4 * q1 * c * c + c ** 4,
+             w8 + w4 * w4 + w2 ** 4),
+            ("lam_c", lam, q1 - c * c, w4 + w2 * w2),
+        )
+    else:
+        images = {"p1": w2 * w2, "p2": w4 * w4}
+        cases = (
+            ("4p1^2-7p2", p, None, w4 * w4),
+            ("p1^2-7p2", p - 3 * lam * lam, None, w2 ** 4 + w4 * w4),
+        )
+        assumptions.append("integral degree-4k classes reduce mod 2 to squares of the degree-2k "
+                           "w-generators (taken as input, not derived here)")
+    for label, cls, form, expected in cases:
+        if form is not None and cls != form:
+            problems.append("%s is not %s, off by %s" % (label, form, cls - form))
+        try:
+            got = mod2_reduce(cls, images)
+        except ValueError as exc:
+            problems.append("%s has no residue: %s" % (label, exc))
+            continue
         data["mod2_" + label] = str(got)
         if got != expected:
             problems.append("mod-2 residue of %s is %s, expected %s" % (label, got, expected))
-    return data
-
-
-def _check_pc(reg_id, order, cap):
-    q_ring = PolyRing({"q1": 4, "q2": 8, "c": 2}, cap=8)
-    g = q_ring.gens()
-    q1, q2, c = g["q1"], g["q2"], g["c"]
-    p1 = 2 * q1 + c * c
-    p2 = 2 * q2 + q1 * q1
-
-    pc8 = 4 * p2 - p1 * p1 - 6 * p1 * c * c + 39 * c ** 4
-    pc_q = q2 - 2 * q1 * c * c + 4 * c ** 4
-    ptc8 = 4 * p2 - 7 * p1 * p1 + 30 * p1 * c * c - 15 * c ** 4
-    ptc_q = q2 - 3 * q1 * q1 + 4 * q1 * c * c + c ** 4
-    lam_c_q = q1 - c * c
-
-    problems = []
-    if not (pc8 - 8 * pc_q).is_zero():
-        problems.append("first divisibility: %s" % (pc8 - 8 * pc_q))
-    if not (ptc8 - 8 * ptc_q).is_zero():
-        problems.append("second divisibility: %s" % (ptc8 - 8 * ptc_q))
-    if not (ptc_q - (pc_q - 3 * lam_c_q * lam_c_q)).is_zero():
-        problems.append(
-            "shifted form disagrees: %s" % (ptc_q - (pc_q - 3 * lam_c_q * lam_c_q))
-        )
-
-    w = MOD2_RING.gens()
-    w2, w4, w8 = w["w2"], w["w4"], w["w8"]
-    images = {"q1": w4, "q2": w8, "c": w2}
-    residues = (
-        ("p_c", pc_q, w8),
-        ("pt_c", ptc_q, w8 + w4 * w4 + w2 ** 4),
-        ("lam_c", lam_c_q, w4 + w2 * w2),
-    )
-    data = _compare_residues(residues, images, problems)
-    return "; ".join(problems), [], [], data
-
-
-def _check_mod2_orientable(reg_id, order, cap):
-    p_ring = PolyRing({"p1": 4, "p2": 8}, cap=16)
-    g = p_ring.gens()
-    p1, p2 = g["p1"], g["p2"]
-    w = MOD2_RING.gens()
-    w2, w4 = w["w2"], w["w4"]
-    images = {"p1": w2 * w2, "p2": w4 * w4}
-    checks = (
-        ("4p1^2-7p2", 4 * p1 * p1 - 7 * p2, w4 * w4),
-        ("p1^2-7p2", p1 * p1 - 7 * p2, w2 ** 4 + w4 * w4),
-    )
-    problems = []
-    data = _compare_residues(checks, images, problems)
-    assumptions = [
-        "integral degree-4k classes reduce mod 2 to squares of the degree-2k "
-        "w-generators (taken as input, not derived here)"
-    ]
     return "; ".join(problems), [], assumptions, data
 
 
@@ -700,8 +682,8 @@ _REGISTRY = {
     "sqrt_relation": (_check_sqrt, None, None),
     "b1_check": (_check_q1_bundle, "spinc", 0),
     "d1_check": (_check_q1_bundle, "orient", 0),
-    "pc_theorem": (_check_pc, None, None),
-    "mod2_orientable": (_check_mod2_orientable, None, None),
+    "pc_theorem": (_check_residues, "spinc", None),
+    "mod2_orientable": (_check_residues, "orient", None),
     "differ1": (_check_differ, None, 2),
     "differ2": (_check_differ, None, 1),
 }

@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 
 from .anomaly import CLASS_KINDS, REGISTRY_IDS, build_twisted_class, run_registry
-from .charring import default_ring, multiplicative_class
+from .charring import ArgumentError, default_ring, multiplicative_class
 from .cubiclattice import (
     HypothesisWarning,
     NoSolution,
@@ -33,7 +33,6 @@ from .thetamod import (
     numeric_transform_check,
     theta_eighth_sum,
 )
-from .charring import ArgumentError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -127,26 +126,29 @@ def _cmd_lattice(args):
     lattice, spec = data["lattice"], data["spec"]
     modulus = data["modulus"]
 
-    report = {"file": args.file, "rank": lattice.rank, "modulus": modulus}
+    # the relations decide whether a is characteristic; the key keeps its place
+    report = {"file": args.file, "rank": lattice.rank, "modulus": modulus, "characteristic": None}
     caught = []
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always", HypothesisWarning)
-        report["characteristic"] = is_characteristic(lattice, spec.a)
         try:
             report["bhat"] = solve_bhat(lattice, spec.a, modulus)
         except NoSolution as exc:
+            report["characteristic"] = is_characteristic(lattice, spec.a)
             report["bhat"] = None
             report["no_solution"] = str(exc)
         caught = [str(w.message) for w in log]
     if caught:
         report["warnings"] = caught
     if report["bhat"] is not None:
-        if spec.b is None and not report["characteristic"]:
+        try:
+            relations = check_cubic_relations(lattice, spec)
+        except ValueError:
             raise UsageError(
                 "%s: a = %s is not characteristic, so the file must give b"
                 % (args.file, list(spec.a))
-            )
-        relations = check_cubic_relations(lattice, spec)
+            ) from None
+        report["characteristic"] = relations["characteristic"]
         report["relations"] = relations
         passed = relations["passed"]
     else:

@@ -158,17 +158,27 @@ def is_characteristic(lattice, a):
     )
 
 
+def _basis_terms(lattice, a, modulus):
+    """T(a, e_j, e_k), T(a, a, e_k), and bhat read off on the basis vectors,
+    bhat_k = 4e_k^3 + 6ae_k^2 + 3a^2e_k mod m."""
+    t = lattice.tensor
+    ta = lattice._contract(a)
+    taa = [sum(map(mul, a, row)) for row in ta]
+    return ta, taa, [(4 * t[k][k][k] + 6 * ta[k][k] + 3 * taa[k]) % modulus for k in range(lattice.rank)]
+
+
 def solve_bhat(lattice, a, modulus=24, samples=None, seed=None):
     """The unique dual vector with bhat(x) = 4x^3 + 6ax^2 + 3a^2x mod m.
 
     bhat is read off on the basis vectors.  The defect
-    4x^3 + 6ax^2 + 3a^2x - bhat.x is a cubic polynomial in x, so checking it
-    on ``certificate_points`` proves it vanishes mod m on all of Z^n.  A
-    nonzero defect raises NoSolution at the first failing point; for m = 24
-    a non-characteristic a triggers a HypothesisWarning first (the
-    linearization theorem assumes it).  Returns a list of ints in [0, m).
-    ``samples`` and ``seed`` are unused: nothing is sampled.  They are
-    accepted so that callers written for the sampled check keep working.
+    4x^3 + 6ax^2 + 3a^2x - bhat.x is ftilde(x) - ftilde(0) for the
+    registry's one-copy form ftilde_{lam,p} = -L Q.  It is cubic in x, so
+    checking it on ``certificate_points`` proves it vanishes mod m on all
+    of Z^n.  A nonzero defect raises NoSolution at the first failing point;
+    for m = 24 a non-characteristic a triggers a HypothesisWarning first
+    (the linearization theorem assumes it).  Returns a list of ints in
+    [0, m).  ``samples`` and ``seed`` are unused: nothing is sampled.  They
+    are accepted so that callers written for the sampled check keep working.
     """
     if modulus not in MODULI:
         raise ValueError("modulus must be one of %s" % (MODULI,))
@@ -180,12 +190,7 @@ def solve_bhat(lattice, a, modulus=24, samples=None, seed=None):
             stacklevel=2,
         )
 
-    t = lattice.tensor
-    ta = lattice._contract(a)  # T(a, e_j, e_k)
-    taa = [sum(map(mul, a, row)) for row in ta]  # T(a, a, e_k)
-    bhat = [
-        (4 * t[k][k][k] + 6 * ta[k][k] + 3 * taa[k]) % modulus for k in range(lattice.rank)
-    ]
+    ta, taa, bhat = _basis_terms(lattice, a, modulus)
     linear = [3 * v - b for v, b in zip(taa, bhat)]
     for x in certificate_points(lattice.rank):
         quad = sum(xj * sum(map(mul, row, x)) for xj, row in zip(x, ta) if xj)
@@ -226,17 +231,15 @@ def check_cubic_relations(lattice, spec, samples=None, seed=None):
     """
     a, b = spec.validated(lattice.rank)
     characteristic = is_characteristic(lattice, a)
-    b_matches = None
-    if characteristic:
-        bhat = solve_bhat(lattice, a, 24)
-        if b is None:
-            b = bhat
-        b_matches = all((bk - hk) % 24 == 0 for bk, hk in zip(b, bhat))
-    elif b is None:
+    if b is None and not characteristic:
         raise ValueError("spec must fix b when a is not characteristic")
-    refine = bool(characteristic and b_matches)
+    # bhat with no solve_bhat loop: refine24 repeats it on ftilde(x) - ftilde(0)
+    _, taa, bhat = _basis_terms(lattice, a, 24)
+    b = bhat if b is None else b
+    b_matches = all((bk - hk) % 24 == 0 for bk, hk in zip(b, bhat)) if characteristic else None
+    refine = bool(b_matches)
 
-    shifted_b = [bk - 3 * sum(map(mul, a, row)) for bk, row in zip(b, lattice._contract(a))]
+    shifted_b = [bk - 3 * v for bk, v in zip(b, taa)]
     zero = [0] * lattice.rank
     f0 = _poly_f(lattice, a, b, zero)
     ft0 = _poly_f_tilde(lattice, a, shifted_b, zero)
@@ -286,8 +289,11 @@ def verify_refinement(lattice, h, samples=1000, seed=None):
     is T(x,y,z) = h(x+y+z) - h(x+y) - h(x+z) - h(y+z) + h(x) + h(y) + h(z)
     - h(0).  h is an arbitrary callable, so this samples: ``samples``
     triples with entries in [-9, 9], drawn with ``random.Random(seed)``.
-    The eight values are summed as int numerators over their lcm.
+    The eight values are summed as int numerators over their lcm.  Raises
+    ValueError for fewer than one sample, which would check nothing.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %r" % (samples,))
     rng = random.Random(seed)
     n = lattice.rank
     h0 = _ratio(h([0] * n))

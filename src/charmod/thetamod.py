@@ -154,7 +154,7 @@ def theta_zero_power8(kind, order):
         terms = {GRID * n * (n + 1) // 2: 1 for n in range(isqrt(2 * order) + 1)}
     elif kind in ("theta2", "theta3"):
         sign = -1 if kind == "theta2" else 1
-        terms = {12 * n * n: 2 * sign ** n for n in range(1, isqrt(2 * order) + 1)}
+        terms = {GRID // 2 * n * n: 2 * sign ** n for n in range(1, isqrt(2 * order) + 1)}
         terms[0] = 1
     else:
         raise ArgumentError("unknown even theta kind %r" % (kind,))

@@ -200,8 +200,34 @@ def test_lattice_no_solution(capsys, tmp_path):
     assert code == EXIT_FAIL
     report = json.loads(out)
     assert report["bhat"] is None
+    # with no bhat there are no relations, so the command decides this itself
+    assert report["characteristic"] is False
     assert "defect" in report["no_solution"]
     assert any("not characteristic" in w for w in report.get("warnings", []))
+
+
+def test_lattice_decides_each_fact_once(capsys, tmp_path, monkeypatch):
+    # solve_bhat runs its certificate once, the relations decide whether a
+    # is characteristic, and the report reads that verdict from them
+    import charmod.cli as cli
+    import charmod.cubiclattice as cubiclattice
+
+    calls = {"is_characteristic": 0, "solve_bhat": 0}
+    for name in calls:
+        original = getattr(cubiclattice, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cubiclattice, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    tensor = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    path = write_lattice(tmp_path, {"rank": 2, "trilinear": tensor, "a": [0, 0]})
+    code, out, _ = run_cli(capsys, "lattice", "--file", path, "--format", "json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["characteristic"] is True
+    assert calls == {"is_characteristic": 2, "solve_bhat": 1}
 
 
 @pytest.mark.parametrize("modulus", [3, 12])

@@ -287,6 +287,13 @@ def test_refinement_rank2():
     assert verify_refinement(lat, h, samples=200, seed=8)["passed"]
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_refinement_that_samples_nothing_raises(samples):
+    # no triple drawn means nothing checked, which must not read as a pass
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_refinement(rank1_lattice(), lambda v: Fraction(int(v[0]) ** 3, 6), samples=samples)
+
+
 # ----------------------------------------------------------------------
 # input parsing
 # ----------------------------------------------------------------------

@@ -1,0 +1,108 @@
+"""Standing mutants: each edit of one constant in ``src/`` must fail the
+registry ids listed with it.
+
+A mutant replaces text that occurs exactly once in its file, in a temp copy
+of ``src/``, and runs ``run_registry(order=2)`` on that copy in a fresh
+process.  A refactor that moves the text fails here loudly, and the entry is
+updated with it.  A traceback in the child is a failure of the harness, not
+a kill: no mutant may make an id raise.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RUN = (
+    "import json\n"
+    "import charmod.anomaly as anomaly\n"
+    "failed = [r.id for r in anomaly.run_registry(order=2) if not r.passed]\n"
+    "print(json.dumps({'module': anomaly.__file__, 'failed': failed}))\n"
+)
+
+#: the ids that read each base's cubic form L Q
+SPINC_FORM_IDS = ("spinc_main", "spinc_new", "deg8_spinc_q", "deg8_spinc_r", "differ1", "differ2")
+ORIENT_FORM_IDS = ("o1", "o2", "deg8_orient_q", "deg8_orient_r")
+
+#: (label, file under src/charmod, old text, new text, ids that must fail).
+#: The K_0 and p entries are seen by the residue ids as well as by the
+#: form ids: pc_theorem and mod2_orientable read p and lam from the same
+#: `_P_CLASSES` and `_BASES` entries as the cubic forms.
+MUTANTS = [
+    (
+        "spinc-p-39c4-to-38c4",
+        "anomaly.py",
+        "+ 39 * c ** 4) / 8",
+        "+ 38 * c ** 4) / 8",
+        SPINC_FORM_IDS + ("pc_theorem",),
+    ),
+    (
+        "spinc-K0-c2-minus3-to-minus2",
+        "anomaly.py",
+        '"spinc": ((1, -3),',
+        '"spinc": ((1, -2),',
+        SPINC_FORM_IDS + ("fact_spinc_q", "fact_spinc_r", "pc_theorem"),
+    ),
+    (
+        "orient-p-4p1sq-to-3p1sq",
+        "anomaly.py",
+        "4 * p1 * p1 - 7 * p2",
+        "3 * p1 * p1 - 7 * p2",
+        ORIENT_FORM_IDS + ("mod2_orientable",),
+    ),
+    (
+        "orient-K0-p1-minus2-to-minus3",
+        "anomaly.py",
+        '"orient": ((-2, 0),',
+        '"orient": ((-3, 0),',
+        ORIENT_FORM_IDS + ("fact_orient_q", "fact_orient_r", "mod2_orientable"),
+    ),
+    (
+        # p~ is then integral but mentions c, which has no orientable residue
+        "orient-K0-c2-0-to-2",
+        "anomaly.py",
+        '"orient": ((-2, 0),',
+        '"orient": ((-2, 2),',
+        ORIENT_FORM_IDS + ("fact_orient_q", "fact_orient_r", "mod2_orientable"),
+    ),
+]
+
+
+def run_copy(tmp_path, name=None, old=None, new=None):
+    """The ids that fail on a copy of ``src/`` with ``old`` replaced by
+    ``new`` in ``name``, or on an unchanged copy when ``name`` is None."""
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    if name is not None:
+        path = copy / "charmod" / name
+        text = path.read_text()
+        assert text.count(old) == 1, "%r must occur exactly once in %s" % (old, name)
+        path.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-c", RUN], env=env, capture_output=True, text=True, timeout=120
+    )
+    if result.returncode != 0:
+        pytest.fail("harness failure, not a kill:\n%s" % result.stderr)
+    payload = json.loads(result.stdout)
+    assert Path(payload["module"]).is_relative_to(copy)
+    return payload["failed"]
+
+
+def test_unmutated_copy_passes_every_id(tmp_path):
+    # the control: the harness itself fails no id
+    assert run_copy(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "name, old, new, must_fail", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS]
+)
+def test_mutant_fails_its_ids(tmp_path, name, old, new, must_fail):
+    failed = run_copy(tmp_path, name, old, new)
+    assert sorted(set(must_fail) - set(failed)) == []
