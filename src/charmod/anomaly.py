@@ -14,10 +14,10 @@ orientable) and a number k of E8 copies by two rules, `cubic_form` and
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .exactmath import GRID, QExpSeries, _exp_nilpotent, _nilpotent_sum, qs_mul
 from .charring import (
@@ -54,14 +54,14 @@ class UnsupportedGenerator(ValueError):
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one registry check.
 
     ``witness`` renders the first discrepancy and stays empty on a pass.
     ``findings`` carry observations that do not decide the status (for
     example alternate-reading residuals); ``assumptions`` record inputs
-    taken on trust; ``data`` holds auxiliary exact values as strings.
+    taken on trust; ``data`` holds auxiliary exact values as strings.  The
+    defaults are immutable: ``()`` and ``data=None``.
     """
 
     id: str
@@ -70,16 +70,16 @@ class VerificationReport:
     order: int = 0
     cap: int = 12
     millis: float = 0.0
-    findings: list = field(default_factory=list)
-    assumptions: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    findings: list = ()
+    assumptions: list = ()
+    data: dict = None
 
     @property
     def passed(self):
         return self.status == "pass"
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload):

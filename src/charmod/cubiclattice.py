@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
 from operator import add, index, mul
+from typing import NamedTuple
 
 
 class NoSolution(ArithmeticError):
@@ -105,8 +105,7 @@ class TrilinearLattice:
         return "TrilinearLattice(rank=%d)" % self.rank
 
 
-@dataclass
-class CubicFormSpec:
+class CubicFormSpec(NamedTuple):
     """The data (a, b) of the cubic polynomial (a+x)^3 - b(a+x)."""
 
     a: tuple
@@ -334,9 +333,10 @@ def load_lattice_json(source):
         raise ValueError(
             "declared rank %d does not match tensor rank %d" % (rank, lattice.rank)
         )
-    a = _int_vector(payload.get("a") or [0] * rank, rank, "a")
-    b = payload.get("b")
-    spec = CubicFormSpec(a=tuple(a), b=tuple(_int_vector(b, rank, "b")) if b else None)
+    # only an absent key or null takes the default; [] or 0 is malformed
+    a, b = payload.get("a"), payload.get("b")
+    a = _int_vector([0] * rank if a is None else a, rank, "a")
+    spec = CubicFormSpec(a=tuple(a), b=None if b is None else tuple(_int_vector(b, rank, "b")))
     modulus = payload.get("modulus", 24)
     if not isinstance(modulus, int) or modulus not in MODULI:
         raise ValueError("modulus must be one of %s" % (MODULI,))

@@ -292,9 +292,15 @@ def test_lattice_bad_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "lattice", "--file", invalid)
     assert code == EXIT_USAGE
 
+    # only an absent a or b takes the default: [] and 0 are malformed, not zero or unset
+    rank2 = {"rank": 2, "trilinear": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
     for payload in (
         {"rank": None, "trilinear": [[[1]]]},
         {"rank": 1, "trilinear": [[[1]]], "modulus": 5},
+        dict(rank2, a=[]),
+        dict(rank2, a=0),
+        dict(rank2, b=[]),
+        dict(rank2, b=0),
     ):
         invalid = write_lattice(tmp_path, payload, name="bad.json")
         code, out, err = run_cli(capsys, "lattice", "--file", invalid)

@@ -27,17 +27,30 @@ from charmod.cubiclattice import (
 
 
 def test_import_leaves_numpy_out():
-    # the package needs only the standard library; numpy is a test oracle
+    # the package needs only the standard library; numpy is a test oracle.
+    # Each entry point loads only what it runs: the lattice layer alone, and
+    # no dataclasses (which pulls in inspect, ast, dis and tokenize) anywhere.
     import charmod
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(charmod.__file__).parents[1])
-    code = "import sys, charmod, charmod.cli; print('numpy' in sys.modules)"
+    code = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('charmod')\n"
+        "                  or m in ('dataclasses', 'inspect', 'numpy'))\n"
+        "import charmod.cubiclattice\n"
+        "lattice = loaded()\n"
+        "import charmod.cli\n"
+        "print(json.dumps([lattice, loaded()]))\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    lattice, cli = json.loads(result.stdout)
+    assert lattice == ["charmod", "charmod.cubiclattice"]
+    assert not {"dataclasses", "inspect", "numpy"} & set(cli)
 
 
 def rank1_lattice():

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import importlib
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,55 @@ from charmod.anomaly import REGISTRY_IDS
 
 SRC = Path(charmod.__file__).parent
 BENCHMARK_RUN = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
-MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
+
+#: the package root's public names, by home layer
+EXPORTS = {
+    "exactmath": (
+        "GRID GridError NotExponentiable NotInvertible QExpSeries RAT_RING "
+        "RingMismatchError qs_exp qs_inv qs_log qs_mul"
+    ),
+    "charring": (
+        "ArgumentError DegreeError DimError GradedPoly PolyRing SpecError "
+        "calibrate_e8_roots ch_tangent default_ring e8_ch line_pair_ch "
+        "multiplicative_class power_sums_from_pontryagin vb_adams vb_lambda2_sym2 "
+        "witten_character witten_expand"
+    ),
+    "thetamod": (
+        "NotProportional PrecisionError e8_character e8_lattice_theta e8_theta_sum "
+        "eisenstein match_modular_basis numeric_transform_check phi theta_eighth_sum "
+        "theta_log_ratio theta_zero_power8"
+    ),
+    "anomaly": (
+        "CLASS_KINDS REGISTRY_IDS UnsupportedGenerator VerificationReport "
+        "build_twisted_class boundary_ring mod2_reduce restrict_to_u run_registry "
+        "verify_differ verify_identity"
+    ),
+    "cubiclattice": (
+        "CubicFormSpec HypothesisWarning NoSolution TrilinearLattice "
+        "check_cubic_relations is_characteristic load_lattice_json solve_bhat "
+        "verify_refinement"
+    ),
+}
+
+
+def test_package_root_re_exports_each_name_from_its_home_layer():
+    homes = {name: layer for layer, names in EXPORTS.items() for name in names.split()}
+    assert sorted(charmod.__all__) == sorted(homes)
+    for name, layer in homes.items():
+        home = importlib.import_module("charmod." + layer)
+        assert getattr(charmod, name) is getattr(home, name), name
+    # nothing is cached on the root, so a patched home layer shows through
+    assert not set(homes) & set(vars(charmod))
+    namespace = {}
+    exec("from charmod import *", namespace)
+    assert all(namespace[name] is getattr(charmod, name) for name in homes)
+    with pytest.raises(AttributeError):
+        charmod.no_such_name
 
 
 def unused_imports(source):
-    """Names a module imports but never reads.  ``__init__`` is left out of
-    the check: it imports names to re-export them."""
+    """Names a module imports but never reads."""
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
