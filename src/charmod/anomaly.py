@@ -244,18 +244,31 @@ def build_twisted_class(kind, order, ring=None, route="adams"):
 def _twisted_class(base, copies, order, ring, route):
     """F B^copies: the base factor F times, once per copy, the bracket
     B = exp((1/12) E2 x) (E8 factor), as K = K_0 + 2 copies x splits the
-    prefactor.  F and exp((1/12) E2 x) are cached, and the E8 factor is
-    read on each call.  Raises ArgumentError for copies and a cap of 16 or
-    more: above degree 15 E8 has a Weyl invariant of degree 8 in the
-    roots, so V has no character in x alone there."""
+    prefactor.  F, B^copies and their product are cached; the last two are
+    keyed by the E8 factor bound to `_e8_theta_sum` at call time, so a
+    replaced factor builds new ones.  Raises ArgumentError for copies and a
+    cap of 16 or more: above degree 15 E8 has a Weyl invariant of degree 8
+    in the roots, so V has no character in x alone there."""
     if copies and ring.cap >= 16:
         raise ArgumentError("a cap above 15 leaves the E8 bundle V no x-only character, got %d"
                             % ring.cap)
-    out = _base_factor(base, order, ring, route)
-    if copies:
-        bracket = qs_mul(_copy_prefactor(ring, order), _e8_theta_sum(ring, order))
-        out = qs_mul(out, bracket ** copies)
-    return out
+    if not copies:
+        return _base_factor(base, order, ring, route)
+    return _class_product(base, copies, order, ring, route, _e8_theta_sum)
+
+
+@lru_cache(maxsize=None)
+def _class_product(base, copies, order, ring, route, e8_factor):
+    """F B^copies for copies >= 1, with the E8 factor ``e8_factor``."""
+    return qs_mul(_base_factor(base, order, ring, route), _bracket_power(copies, ring, order, e8_factor))
+
+
+@lru_cache(maxsize=None)
+def _bracket_power(copies, ring, order, e8_factor):
+    """B^copies for copies >= 1, B = exp((1/12) E2 x) (E8 factor)."""
+    if copies > 1:
+        return _bracket_power(1, ring, order, e8_factor) ** copies
+    return qs_mul(_copy_prefactor(ring, order), e8_factor(ring, order))
 
 
 def degree_part_series(series, degree):

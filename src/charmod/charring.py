@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, gcd, lcm
 
 from .exactmath import GRID, RAT_RING, NotInvertible, QExpSeries, qs_exp
@@ -66,7 +66,7 @@ class PolyRing:
     convolutions of `charmod.exactmath` all go through it.
     """
 
-    __slots__ = ("degrees", "names", "cap", "key", "_index", "_fields", "_shift", "_limit")
+    __slots__ = ("degrees", "names", "cap", "key", "_index", "_fields", "_shift", "_limit", "_gens")
 
     def __init__(self, generators, cap=12):
         self.degrees = dict(generators)
@@ -87,6 +87,9 @@ class PolyRing:
             shift += width
         self._shift = shift
         self._limit = (self.cap + 1) << shift
+        # elements are immutable, so each generator is built once and shared
+        self._gens = {name: GradedPoly(self, {tuple(int(j == i) for j in range(len(self.names))): 1})
+                      for i, name in enumerate(self.names)}
 
     def monomial_degree(self, exps):
         return sum(e * self.degrees[n] for n, e in zip(self.names, exps))
@@ -139,14 +142,12 @@ class PolyRing:
         return _poly(self, value.denominator, {0: value.numerator})
 
     def gen(self, name):
-        if name not in self._index:
+        if name not in self._gens:
             raise KeyError("no generator %r in ring %r" % (name, self.names))
-        exps = [0] * len(self.names)
-        exps[self._index[name]] = 1
-        return GradedPoly(self, {tuple(exps): Fraction(1)})
+        return self._gens[name]
 
     def gens(self):
-        return {name: self.gen(name) for name in self.names}
+        return dict(self._gens)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and other.key == self.key
@@ -373,6 +374,7 @@ def _poly(ring, den, nums):
 DEFAULT_GENERATORS = {"p1": 4, "p2": 8, "p3": 12, "c": 2, "x": 4}
 
 
+@lru_cache(maxsize=None)
 def default_ring(cap=12):
     return PolyRing(DEFAULT_GENERATORS, cap=cap)
 
@@ -543,20 +545,21 @@ _WITTEN_SPECS = {
 
 def exp_combination(pairs, ring, order):
     """exp(sum_i s_i(q) P_i) truncated at q^order, for ``(s_i, P_i)`` pairs
-    of a rational q-series and an element of ``ring``; the one `qs_exp` caller."""
-    terms = {}
+    of a rational q-series and an element of ``ring``; the one `qs_exp` caller.
+    Each grid exponent's coefficient is one ``ring.dot`` over its terms."""
+    groups = defaultdict(list)
     for series, element in pairs:
         for grid_key, coeff in series.terms.items():
-            piece = element * coeff
-            terms[grid_key] = terms[grid_key] + piece if grid_key in terms else piece
-    return qs_exp(QExpSeries(ring, order, terms))
+            groups[grid_key].append((ring.constant(coeff), element))
+    return qs_exp(QExpSeries(ring, order, {k: ring.dot(group) for k, group in groups.items()}))
 
 
 def witten_log(spec_id, inputs, order):
     """The log of `witten_character` as ``(s_k(q), psi^k E)`` pairs for
     `exp_combination`, one per input ([tangent] or [tangent, twist], each
     of integer rank) and Adams power k: E is the input's reduced character
-    and s_k the rational series the input's factor families give it."""
+    and s_k the rational series the input's factor families give it.  Every
+    term of s_k is an integer over k, so the numerators are summed as ints."""
     if spec_id not in _WITTEN_SPECS:
         raise SpecError("unknown twist-bundle id %r" % (spec_id,))
     families = _WITTEN_SPECS[spec_id]
@@ -567,14 +570,15 @@ def witten_log(spec_id, inputs, order):
     if any(rank.denominator != 1 for rank in ranks):
         raise ArgumentError("each input needs an integer rank, got %s" % ", ".join(map(str, ranks)))
     limit = GRID * int(order)
-    series = defaultdict(lambda: defaultdict(Fraction))
+    series = defaultdict(lambda: defaultdict(int))
     for index, (alternating, sign, half_steps) in families:
         for step in range(GRID // 2 if half_steps else GRID, limit + 1, GRID):
             for k in range(1, limit // step + 1):
                 flip = -1 if alternating and k % 2 == 0 else 1
-                series[(index, k)][step * k] += Fraction(flip * sign ** k, k)
-    return [(QExpSeries(RAT_RING, order, terms), vb_adams(inputs[index], k) - ranks[index])
-            for (index, k), terms in series.items()]
+                series[(index, k)][step * k] += flip * sign ** k
+    return [(QExpSeries(RAT_RING, order, {j: Fraction(n, k) for j, n in nums.items()}),
+             vb_adams(inputs[index], k) - ranks[index])
+            for (index, k), nums in series.items()]
 
 
 def witten_character(spec_id, inputs, order):

@@ -309,10 +309,11 @@ def numeric_transform_check(kind, v, tau, terms=40, tol=1e-8):
     """Residuals of the shift and inversion laws at a numeric point.
 
     Returns a dict with both residuals, the estimated truncation tail, and
-    a ``passed`` flag (residuals below ``tol``).  Raises ArgumentError off
-    the upper half-plane, for ``terms`` < 1 and for a ``tol`` that is not
-    finite and positive, and PrecisionError when the truncation tail cannot
-    be pushed below tol/10 for every series involved.
+    a ``passed`` flag (residuals below ``tol``).  Raises ArgumentError for
+    a ``tau`` or ``v`` that is not finite, off the upper half-plane, for
+    ``terms`` < 1 and for a ``tol`` that is not finite and positive, and
+    PrecisionError when the truncation tail cannot be pushed below tol/10
+    for every series involved.
     """
     if kind not in NUMERIC_KINDS:
         raise ArgumentError("unknown kind %r" % (kind,))
@@ -321,9 +322,11 @@ def numeric_transform_check(kind, v, tau, terms=40, tol=1e-8):
     if not 0 < tol < float("inf"):
         raise ArgumentError("tol must be finite and positive, got %r" % tol)
     tau = complex(tau)
+    v = 0j if v is None else complex(v)
+    if not (cmath.isfinite(tau) and cmath.isfinite(v)):
+        raise ArgumentError("tau and v must be finite, got tau=%s, v=%s" % (tau, v))
     if tau.imag <= 0:
         raise ArgumentError("tau must be in the upper half-plane")
-    v = 0j if v is None else complex(v)
     inv_tau = -1 / tau
 
     worst = max(

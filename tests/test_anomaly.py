@@ -612,6 +612,8 @@ def test_each_base_and_the_copy_prefactor_take_one_exp(monkeypatch, route):
     # kinds share a base or carry copies
     anomaly._base_factor.cache_clear()
     anomaly._copy_prefactor.cache_clear()
+    anomaly._class_product.cache_clear()
+    anomaly._bracket_power.cache_clear()
     calls = []
 
     def counting_exp(a):
@@ -623,6 +625,54 @@ def test_each_base_and_the_copy_prefactor_take_one_exp(monkeypatch, route):
     for kind in CLASS_KINDS:
         build_twisted_class(kind, 4, ring, route)
     assert len(calls) == 4
+
+
+def _clear_caches(*modules):
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_a_cold_registry_run_builds_each_shared_series_once(monkeypatch):
+    # B and B^2 once per (ring, order), each twisted class once, so
+    # sqrt_relation makes only its own two products.  The thetamod caches
+    # are cleared as well: `modular_basis` makes the other three products.
+    calls = {"qs_exp": 0, "qs_mul": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(charring, "qs_exp", counting("qs_exp", exactmath.qs_exp))
+    counted_mul = counting("qs_mul", exactmath.qs_mul)
+    for module in (exactmath, anomaly, thetamod):
+        monkeypatch.setattr(module, "qs_mul", counted_mul)
+    _clear_caches(anomaly, thetamod)
+    assert all(report.passed for report in run_registry(order=4))
+    assert calls == {"qs_exp": 5, "qs_mul": 11}
+
+    _clear_caches(anomaly, thetamod)
+    run_registry(["fact_spinc_q", "fact_spinc_r"], order=4)
+    calls.update(qs_exp=0, qs_mul=0)
+    assert verify_identity("sqrt_relation", order=4).passed
+    assert calls == {"qs_exp": 0, "qs_mul": 2}
+
+
+def test_the_class_memo_follows_the_e8_factor(monkeypatch):
+    # warm classes built with the true E8 factor must not answer for a
+    # replaced one, nor the replaced one's classes for the restored factor
+    assert all(report.passed for report in run_registry(order=3))
+    theta_sum = anomaly._e8_theta_sum
+    monkeypatch.setattr(anomaly, "_e8_theta_sum", lambda ring, order: theta_sum(ring, order).scale(2))
+    for reg_id in FACT_IDS:
+        report = verify_identity(reg_id, order=3)
+        assert report.status == "fail", reg_id
+        assert "multiplier is not" in report.witness, reg_id
+    monkeypatch.undo()
+    assert all(verify_identity(reg_id, order=3).passed for reg_id in FACT_IDS)
 
 
 # ----------------------------------------------------------------------

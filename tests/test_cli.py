@@ -372,6 +372,19 @@ def test_theta_check_bad_tau(capsys):
     assert "tau" in err
 
 
+@pytest.mark.parametrize(
+    "kind, point",
+    [("theta1", ["--tau=0.1+1i", "--v=nan"]), ("E2", ["--tau=0.1+nani"])],
+    ids=["v-nan", "tau-nan"],
+)
+def test_theta_check_rejects_non_finite_points(capsys, kind, point):
+    # a nan point made the tail bound nan, reported as a precision failure
+    code, out, err = run_cli(capsys, "theta-check", "--kind", kind, *point)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_theta_check_unparseable_tau(capsys):
     code, out, err = run_cli(capsys, "theta-check", "--kind", "theta", "--tau", "abc")
     assert code == EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Standing mutants: each edit of one constant in ``src/`` must fail the
+"""Standing mutants: each edit of one constant or operator in ``src/`` must fail the
 registry ids listed with it.
 
 A mutant replaces text that occurs exactly once in its file, in a temp copy
@@ -29,6 +29,11 @@ RUN = (
 #: the ids that read each base's cubic form L Q
 SPINC_FORM_IDS = ("spinc_main", "spinc_new", "deg8_spinc_q", "deg8_spinc_r", "differ1", "differ2")
 ORIENT_FORM_IDS = ("o1", "o2", "deg8_orient_q", "deg8_orient_r")
+#: the ids that read the twisted classes' multipliers, the degree-8
+#: displays and the six main identities
+FACT_IDS = ("fact_spinc_q", "fact_spinc_r", "fact_orient_q", "fact_orient_r")
+DEG8_IDS = ("deg8_spinc_q", "deg8_spinc_r", "deg8_orient_q", "deg8_orient_r")
+THEOREM_IDS = ("wfh_main", "spin_new", "spinc_main", "spinc_new", "o1", "o2")
 
 #: (label, file under src/charmod, old text, new text, ids that must fail).
 #: The K_0 and p entries are seen by the residue ids as well as by the
@@ -70,6 +75,43 @@ MUTANTS = [
         '"orient": ((-2, 0),',
         '"orient": ((-2, 2),',
         ORIENT_FORM_IDS + ("fact_orient_q", "fact_orient_r", "mod2_orientable"),
+    ),
+    (
+        "copy-prefactor-E2x-over-12-to-over-6",
+        "anomaly.py",
+        'ring.gen("x") * Fraction(1, 12)',
+        'ring.gen("x") * Fraction(1, 6)',
+        FACT_IDS,
+    ),
+    (
+        "e8-factor-sigma3-to-sigma1",
+        "thetamod.py",
+        "_sigma(3, n)",
+        "_sigma(1, n)",
+        FACT_IDS,
+    ),
+    (
+        # R(x) is V's root part, so every id that reads V or the E8 factor
+        "e8-root-6x2-to-7x2",
+        "charring.py",
+        "+ 6 * square",
+        "+ 7 * square",
+        THEOREM_IDS + FACT_IDS + DEG8_IDS,
+    ),
+    (
+        "exponent-2x-per-copy-to-3x",
+        "anomaly.py",
+        '2 * copies * g["x"]',
+        '3 * copies * g["x"]',
+        FACT_IDS + DEG8_IDS,
+    ),
+    (
+        # B^2 becomes 2 B: the classes with one copy are untouched
+        "bracket-power-to-scale",
+        "anomaly.py",
+        "** copies",
+        ".scale(copies)",
+        ("fact_spinc_q", "fact_orient_q", "sqrt_relation"),
     ),
 ]
 
