@@ -24,6 +24,7 @@ from .charring import (
     ArgumentError,
     PolyRing,
     _poly,
+    _power_sums,
     calibrate_e8_roots,
     ch_tangent,
     default_ring,
@@ -31,12 +32,12 @@ from .charring import (
     exp_combination,
     line_pair_ch,
     multiplicative_class,
-    power_sums_from_pontryagin,
     vb_lambda2_sym2,
     witten_character,
     witten_log,
 )
 from .thetamod import (
+    THETA_KINDS,
     NotProportional,
     e8_theta_sum,
     eisenstein,
@@ -210,13 +211,13 @@ def _base_factor(base, order, ring, route):
     if route == "adams":
         pairs += witten_log(*_witten_args(base, ring), order)
         return exp_combination(pairs, ring, order).scale(_weight_class(base, ring))
-    g = ring.gens()
-    sums = power_sums_from_pontryagin([g["p1"], g["p2"], g["p3"]], 3)
-    pairs += zip(theta_log_ratio("lhat" if base == "orient" else "theta", order), sums)
+    sums = _power_sums(ring, ("p1", "p2", "p3"))
+    for kind_name in THETA_KINDS if base == "orient" else ("theta",):
+        pairs += zip(theta_log_ratio(kind_name, order), sums)
     if base == "spinc":
-        c_powers = [g["c"] ** 2, g["c"] ** 4, g["c"] ** 6]
-        for kind_name in ("theta1", "theta2", "theta3"):
-            pairs += zip(theta_log_ratio(kind_name, order), c_powers)
+        c = ring.gen("c")
+        for kind_name in THETA_KINDS[1:]:
+            pairs += zip(theta_log_ratio(kind_name, order), [c ** 2, c ** 4, c ** 6])
     out = exp_combination(pairs, ring, order)
     # the per-root constant 2 of the Lhat root function, over six roots
     return out.scale(64) if base == "orient" else out
@@ -246,12 +247,7 @@ def _twisted_class(base, copies, order, ring, route):
     B = exp((1/12) E2 x) (E8 factor), as K = K_0 + 2 copies x splits the
     prefactor.  F, B^copies and their product are cached; the last two are
     keyed by the E8 factor bound to `_e8_theta_sum` at call time, so a
-    replaced factor builds new ones.  Raises ArgumentError for copies and a
-    cap of 16 or more: above degree 15 E8 has a Weyl invariant of degree 8
-    in the roots, so V has no character in x alone there."""
-    if copies and ring.cap >= 16:
-        raise ArgumentError("a cap above 15 leaves the E8 bundle V no x-only character, got %d"
-                            % ring.cap)
+    replaced factor builds new ones."""
     if not copies:
         return _base_factor(base, order, ring, route)
     return _class_product(base, copies, order, ring, route, _e8_theta_sum)
@@ -716,13 +712,13 @@ def _row(reg_id, check):
 def verify_identity(reg_id, order=6, cap=12):
     """Run one registry check and return its VerificationReport.
 
-    Raises ArgumentError for ``cap < 12``, where every degree-12 part is 0
-    and the checks would pass on 0 = 0, for ``cap > 15``, where V has no
-    character in x alone, and for ``order < 1``, which leaves no q^1
-    coefficient for the modular-form matches.
+    Raises ArgumentError for an unknown id; for ``cap < 12``, where every
+    degree-12 part is 0 and the checks would pass on 0 = 0; for ``cap > 15``,
+    where V has no character in x alone; and for ``order < 1``, which leaves
+    no q^1 coefficient for the modular-form matches.
     """
     if reg_id not in REGISTRY_IDS:
-        raise ValueError("unknown registry id %r" % (reg_id,))
+        raise ArgumentError("unknown id %r (known: %s)" % (reg_id, ", ".join(REGISTRY_IDS)))
     if not 12 <= cap <= 15:
         raise ArgumentError(
             "cap must be at least 12 to hold the degree-12 parts and at most 15 "
@@ -750,7 +746,4 @@ def run_registry(ids=None, order=6, cap=12):
     """Verify the requested ids (default: all) and return their reports in
     request order."""
     ids = list(ids) if ids is not None else list(REGISTRY_IDS)
-    for reg_id in ids:
-        if reg_id not in REGISTRY_IDS:
-            raise ValueError("unknown registry id %r" % (reg_id,))
     return [verify_identity(reg_id, order=order, cap=cap) for reg_id in ids]

@@ -423,10 +423,12 @@ _ROOT_CONSTANT = {"Ahat": Fraction(1), "Lhat": Fraction(2)}
 
 
 def _power_sums(ring, pontryagin_names):
-    """The power sums pi_1, pi_2, ... of squared roots that ``ring`` holds:
-    one per Pontryagin generator present, at most three, and at most
-    cap // 4 (but at least one)."""
+    """The power sums pi_1, pi_2, pi_3 of squared roots, one per Pontryagin
+    generator ``ring`` holds and at most cap // 4 (but at least one); over
+    a cap of 16 or more, which needs pi_4, raises ArgumentError."""
     available = [ring.gen(n) for n in pontryagin_names if n in ring.degrees]
+    if available and ring.cap >= 16:
+        raise ArgumentError("a cap above 15 needs the power sum pi_4, got %d" % ring.cap)
     count = min(3, len(available), max(1, ring.cap // 4))
     return power_sums_from_pontryagin(available, count)
 
@@ -475,7 +477,10 @@ def ch_tangent(dim, ring, pontryagin_names=("p1", "p2", "p3")):
 
 def e8_root_ch(x):
     """R(x) = 240 - 60 x + 6 x^2 - x^3/3: the sum of cosh(y) over the 240
-    roots through degree 12, with y^2 = -2x along one root line."""
+    roots through degree 12, with y^2 = -2x along one root line; nonzero x
+    over a cap of 16 or more, where E8 has a degree-8 invariant, raises ArgumentError."""
+    if x.ring.cap >= 16 and not x.is_zero():
+        raise ArgumentError("a cap above 15 leaves V no x-only character, got %d" % x.ring.cap)
     square = x * x
     return 240 - 60 * x + 6 * square - square * x * Fraction(1, 3)
 

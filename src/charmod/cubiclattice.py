@@ -310,18 +310,26 @@ def verify_refinement(lattice, h, samples=1000, seed=None):
     return {"passed": True, "samples": int(samples), "witness": None}
 
 
+def _holds_bool(value):
+    """Whether a parsed JSON value is or holds true or false."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def load_lattice_json(source):
     """Parse the lattice input format.
 
     Expected keys: rank, trilinear (full n x n x n array), and optionally
     a (default zero), b and modulus (default 24).  Entries may be integers
-    of any size.
+    of any size, but not true or false.
     """
     if isinstance(source, str):
         with open(source) as handle:
             payload = json.load(handle)
     else:
         payload = dict(source)
+    for key, value in payload.items():
+        if _holds_bool(value):
+            raise ValueError("%s must hold integers, not true or false" % key)
     try:
         rank = index(payload["rank"])
         lattice = TrilinearLattice(payload["trilinear"])

@@ -116,17 +116,8 @@ _LAMBERT = {
 
 @lru_cache(maxsize=None)
 def theta_log_ratio(kind, order):
-    """Coefficients [c_1(q), c_2(q), c_3(q)] of y^2, y^4, y^6 in the log ratio.
-
-    For kind "lhat" the four individual kinds are summed, which reproduces
-    the logarithm of y/tanh(y/2) at q^0 (the per-root constant 2 is left to
-    the caller).
-    """
-    if kind == "lhat":
-        parts = [theta_log_ratio(k, order) for k in THETA_KINDS]
-        return tuple(
-            parts[0][i] + parts[1][i] + parts[2][i] + parts[3][i] for i in range(3)
-        )
+    """Coefficients [c_1(q), c_2(q), c_3(q)] of y^2, y^4, y^6 in the log
+    ratio; the four kinds sum to log(y/tanh(y/2)) - log 2 at q^0."""
     if kind not in THETA_KINDS:
         raise ArgumentError("unknown theta kind %r" % (kind,))
     sign, alternating, half_steps = _LAMBERT[kind]
@@ -196,9 +187,8 @@ def e8_theta_sum(g, order):
     for value, degree in ((g1, 4), (g2, 8), (g3, 12)):
         if not value.is_zero() and not value.is_homogeneous(degree):
             raise ArgumentError("g-class of degree %d is not homogeneous" % degree)
-    if ring.cap >= 16 and not (g1.is_zero() and g2.is_zero() and g3.is_zero()):
-        raise ArgumentError("a cap above 15 leaves the E8 bundle no character in g1 alone, got %d"
-                            % ring.cap)
+    if ring.cap >= 16 and not (g2.is_zero() and g3.is_zero()):
+        raise ArgumentError("a cap above 15 would read g2 and g3, got %d" % ring.cap)
     x = g1 * Fraction(-1, 2)
     coeffs = [ring.one()] + [e8_root_ch(x * n) * _sigma(3, n) for n in range(1, int(order) + 1)]
     return QExpSeries.from_q_coeffs(ring, order, coeffs)
@@ -223,8 +213,8 @@ def e8_lattice_theta(order):
     vectors by (sum u^2, sum u mod 4) with norm pruning.
     """
     order = int(order)
-    if order < 0 or order > 12:
-        raise ArgumentError("supported through q^12, got order %r" % (order,))
+    if not 0 <= order <= 12:
+        raise ArgumentError("order must be between 0 and 12 for the lattice count, got %d" % order)
     budget = 8 * order  # max sum of u^2
     reach = isqrt(budget)
     counts = {}

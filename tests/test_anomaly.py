@@ -130,9 +130,9 @@ def test_registry_subset_keeps_request_order():
 
 
 def test_registry_rejects_unknown_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match="unknown id 'nope' \\(known: wfh_main, "):
         run_registry(["wfh_main", "nope"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match="unknown id 'nope'"):
         verify_identity("nope")
 
 
@@ -149,7 +149,9 @@ def test_registry_rejects_settings_that_make_checks_vacuous():
         verify_identity("wfh_main", order=1, cap=16)
     with pytest.raises(ArgumentError):
         build_twisted_class("Qc", 1, default_ring(16))
-    assert build_twisted_class("Wc", 1, default_ring(16)).order == 1
+    # and the Pontryagin root data stops at pi_3, so no class builds there
+    with pytest.raises(ArgumentError):
+        build_twisted_class("Wc", 1, default_ring(16))
 
 
 def test_fact_check_fails_on_zero_multiplier():
@@ -976,6 +978,16 @@ def test_differ_fails_when_both_sides_are_zero(monkeypatch, which):
     report = verify_identity(which)
     assert report.status == "fail"
     assert report.witness == "both sides are 0"
+
+
+@pytest.mark.parametrize("which", ["differ1", "differ2"])
+def test_differ_fails_when_gamma_has_a_c_free_term(monkeypatch, which):
+    honest = anomaly._differ_gamma
+    monkeypatch.setattr(anomaly, "_differ_gamma",
+                        lambda which, ring: honest(which, ring) + ring.gen("p1") ** 3)
+    report = verify_identity(which)
+    assert report.status == "fail"
+    assert report.witness == "not divisible by c^2: polynomial is not divisible by c"
 
 
 def _tanh_coefficients(count):

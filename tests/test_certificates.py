@@ -272,20 +272,28 @@ def test_relations_match_exhaustion_rank1():
                     )
 
 
-def test_relations_see_an_error_only_a_degree3_point_shows(monkeypatch):
-    # x0 (x0 - 1)(x0 - 2) vanishes at x0 = 0, 1, 2: only the degree-3
-    # certificate point (3, 0) sees it, in the half sum and mod 24
+@pytest.mark.parametrize(
+    "skewed_name, seen, unseen",
+    [("_poly_f_tilde", "refine24", "refine48"), ("_poly_f", "refine48", "refine24")],
+    ids=["f_tilde", "f"],
+)
+def test_relations_see_an_error_only_a_degree3_point_shows(monkeypatch, skewed_name, seen, unseen):
+    # u (u - 1)(u - 2) with u = x0 vanishes at x0 = 0, 1, 2 and is 6 at
+    # x0 = 3: only the degree-3 certificate point (3, 0) sees it, in the
+    # half sum and in the integrality claim that reads the skewed side
+    # (f is called at 2x, so its u is half its first coordinate)
     lat = TrilinearLattice([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
     spec = CubicFormSpec(a=(0, 0))
     assert check_cubic_relations(lat, spec)["passed"]
-    honest = cubiclattice._poly_f_tilde
+    honest = getattr(cubiclattice, skewed_name)
 
-    def skewed(lattice, a, shifted_b, x):
-        return honest(lattice, a, shifted_b, x) + x[0] * (x[0] - 1) * (x[0] - 2)
+    def skewed(lattice, a, b, x):
+        u = x[0] // 2 if skewed_name == "_poly_f" else x[0]
+        return honest(lattice, a, b, x) + u * (u - 1) * (u - 2)
 
-    monkeypatch.setattr(cubiclattice, "_poly_f_tilde", skewed)
+    monkeypatch.setattr(cubiclattice, skewed_name, skewed)
     report = check_cubic_relations(lat, spec)
     assert report["half_sum"] == {"passed": False, "witness": [3, 0]}
-    assert report["refine24"]["witness"] == [3, 0]
-    assert report["refine48"]["passed"] is True
+    assert report[seen] == {"applicable": True, "passed": False, "witness": [3, 0]}
+    assert report[unseen]["passed"] is True
     assert not report["passed"]

@@ -256,6 +256,23 @@ def test_line_pair_pinned():
     assert ch.homogeneous_part(0) + ch.homogeneous_part(4) + ch.homogeneous_part(8) + ch.homogeneous_part(12) == expected
 
 
+def test_root_data_builders_reject_a_cap_of_16_or_more():
+    # the Pontryagin root data stops at pi_3, so at degree 16 Ahat's p1^4
+    # would read 37/51609600 (it is 127/154828800), Lhat's 41/25200 (it is
+    # -1/18900) and ch(T)'s 0 (it is 2/8!); V's root part stops at x^3
+    ring = default_ring(16)
+    with pytest.raises(ArgumentError, match="pi_4"):
+        multiplicative_class("Ahat", 12, ring)
+    with pytest.raises(ArgumentError, match="pi_4"):
+        multiplicative_class("Lhat", 12, ring)
+    with pytest.raises(ArgumentError, match="pi_4"):
+        ch_tangent(12, ring)
+    with pytest.raises(ArgumentError, match="x-only character"):
+        e8_ch(ring.gen("x"))
+    # V of the zero class is still its rank
+    assert e8_ch(ring.zero()) == 248
+
+
 def test_line_pair_requires_degree_2():
     ring = default_ring()
     with pytest.raises(DegreeError):

@@ -12,6 +12,7 @@ from charmod.cli import (
     EXIT_PASS,
     EXIT_PRECISION,
     EXIT_USAGE,
+    EXPANDABLE,
     main,
 )
 
@@ -85,6 +86,16 @@ def test_verify_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())[0]["id"] == "bundle_xi_plus"
 
 
+def test_verify_output_to_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--id", "wfh_main", "--order", "1", "--output", str(target)
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --output: cannot write %s: No such file or directory\n" % target
+
+
 def test_verify_rejects_cap_below_12(capsys):
     # a cap of 8 drops every degree-12 part, so both sides would be 0
     code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--cap", "8")
@@ -151,16 +162,14 @@ def test_expand_rejects_negative_cap(capsys):
     assert "--cap" in err and "at least 0" in err
 
 
-def test_expand_rejects_a_cap_above_15_only_where_v_enters(capsys):
-    # Qc carries two E8 copies, so its degree-16 part would not be V's
-    code, out, err = run_cli(capsys, "expand", "--class", "Qc", "--cap", "16", "--order", "1")
+@pytest.mark.parametrize("name", EXPANDABLE)
+def test_expand_rejects_a_cap_above_15_for_every_class(capsys, name):
+    # every class starts from Pontryagin root data through pi_3, so its
+    # degree-16 part would miss pi_4 (Ahat's p1^4 would read 37/51609600)
+    code, out, err = run_cli(capsys, "expand", "--class", name, "--cap", "16", "--order", "1")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "error: " in err and "x-only character" in err
-    # Wc carries none
-    code, out, _ = run_cli(capsys, "expand", "--class", "Wc", "--cap", "16", "--order", "1")
-    assert code == EXIT_PASS
-    assert "q^1" in out
+    assert "error: " in err and "pi_4" in err
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +310,12 @@ def test_lattice_bad_file(capsys, tmp_path):
         dict(rank2, a=0),
         dict(rank2, b=[]),
         dict(rank2, b=0),
+        # JSON true and false are not integers, though Python's bool is an int
+        {"rank": True, "trilinear": [[[True]]], "a": [False]},
+        {"rank": True, "trilinear": [[[1]]]},
+        {"rank": 1, "trilinear": [[[True]]]},
+        dict(rank2, a=[False, 0]),
+        dict(rank2, b=[0, True]),
     ):
         invalid = write_lattice(tmp_path, payload, name="bad.json")
         code, out, err = run_cli(capsys, "lattice", "--file", invalid)
@@ -332,7 +347,14 @@ def test_e8_rejects_order_outside_0_to_12(capsys, order):
     code, out, err = run_cli(capsys, "e8", "--order", order)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--order must be between 0 and 12" in err
+    assert err == "error: order must be between 0 and 12 for the lattice count, got %s\n" % order
+
+
+def test_e8_output_to_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "e8", "--order", "2", "--output", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --output: cannot write %s: Is a directory\n" % tmp_path
 
 
 # ----------------------------------------------------------------------

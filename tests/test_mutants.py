@@ -113,6 +113,49 @@ MUTANTS = [
         ".scale(copies)",
         ("fact_spinc_q", "fact_orient_q", "sqrt_relation"),
     ),
+    (
+        "index-rank-504-to-505",
+        "anomaly.py",
+        "(504 - 248 * k)",
+        "(505 - 248 * k)",
+        THEOREM_IDS + DEG8_IDS,
+    ),
+    (
+        "q-form-minus-4x2-to-minus-3x2",
+        "anomaly.py",
+        "- 4 * x * x",
+        "- 3 * x * x",
+        THEOREM_IDS + DEG8_IDS + ("differ1", "differ2"),
+    ),
+    (
+        "b1-minus-3xi-t-to-minus-2xi-t",
+        "anomaly.py",
+        "T - 12 - 3 * xi_t",
+        "T - 12 - 2 * xi_t",
+        ("spinc_main", "spinc_new", "deg8_spinc_q", "deg8_spinc_r", "b1_check"),
+    ),
+    (
+        # Theta2 enters the spin^c and orientable Witten series and B1, D1
+        "adams-theta2-sign-to-plus",
+        "charring.py",
+        "_THETA2 = (True, -1, True)",
+        "_THETA2 = (True, 1, True)",
+        FACT_IDS + ("b1_check", "d1_check"),
+    ),
+    (
+        "spin-w-1-24-to-1-12",
+        "anomaly.py",
+        '"Ahat", Fraction(1, 24), Fraction(1, 2)',
+        '"Ahat", Fraction(1, 12), Fraction(1, 2)',
+        ("wfh_main", "spin_new"),
+    ),
+    (
+        "spin-p-over-8-to-over-4",
+        "anomaly.py",
+        "(4 * p2 - p1 * p1) / 8",
+        "(4 * p2 - p1 * p1) / 4",
+        ("wfh_main", "spin_new", "differ1", "differ2"),
+    ),
 ]
 
 

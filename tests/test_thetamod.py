@@ -228,7 +228,9 @@ def test_ratio_constants_match_multiplicative_tables():
     # q^0 parts are the per-root log coefficients of the two genera
     theta_c = [s.coefficient(0) for s in theta_log_ratio("theta", 2)]
     assert theta_c == [Fraction(-1, 24), Fraction(1, 2880), Fraction(-1, 181440)]
-    lhat_c = [s.coefficient(0) for s in theta_log_ratio("lhat", 2)]
+    # the four kinds sum to the log of the Lhat root function, less log 2
+    parts = [theta_log_ratio(kind, 2) for kind in THETA_KINDS]
+    lhat_c = [sum(part[i].coefficient(0) for part in parts) for i in range(3)]
     assert lhat_c == [Fraction(1, 12), Fraction(-7, 1440), Fraction(31, 90720)]
     with pytest.raises(ArgumentError):
         theta_log_ratio("nosuch", 2)
