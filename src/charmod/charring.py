@@ -60,10 +60,10 @@ class PolyRing:
     ``(cap + 1) << shift``.  A product within the cap fits every field, so
     the sum never carries from one field into the next.
 
-    ``dot(pairs)`` is the ring's one multiply loop: it returns the sum of
-    ``a * b`` over a list of ``(a, b)`` pairs of elements as one element,
-    and ``zero()`` for the empty list.  Polynomial products and the series
-    convolutions of `charmod.exactmath` all go through it.
+    ``dot(pairs)`` returns the sum of ``a * b`` over a list of ``(a, b)``
+    pairs as one element (``zero()`` for none): polynomial products,
+    `qs_exp` and `qs_inv` go through it.  ``packed(p)``, ``(p.den, p.nums)``, and its
+    inverse ``from_packed`` are the view that `qs_mul` multiplies by.
     """
 
     __slots__ = ("degrees", "names", "cap", "key", "_index", "_fields", "_shift", "_limit", "_gens")
@@ -129,6 +129,11 @@ class PolyRing:
                         break
                     sums[k1 + k2] += n1 * n2
         return _poly(self, den, sums)
+
+    packed = staticmethod(lambda p: (p.den, p.nums))
+
+    def from_packed(self, den, nums):
+        return _poly(self, den, nums)
 
     def zero(self):
         return _poly(self, 1, {})
@@ -562,9 +567,10 @@ def exp_combination(pairs, ring, order):
 def witten_log(spec_id, inputs, order):
     """The log of `witten_character` as ``(s_k(q), psi^k E)`` pairs for
     `exp_combination`, one per input ([tangent] or [tangent, twist], each
-    of integer rank) and Adams power k: E is the input's reduced character
-    and s_k the rational series the input's factor families give it.  Every
-    term of s_k is an integer over k, so the numerators are summed as ints."""
+    of integer rank) and Adams power k: E is the input's reduced character,
+    built once (psi^k fixes degree 0), and s_k the rational series the
+    input's factor families give it.  Every term of s_k is an integer over
+    k, so the numerators are summed as ints."""
     if spec_id not in _WITTEN_SPECS:
         raise SpecError("unknown twist-bundle id %r" % (spec_id,))
     families = _WITTEN_SPECS[spec_id]
@@ -574,6 +580,7 @@ def witten_log(spec_id, inputs, order):
     ranks = [ch.constant_term() for ch in inputs[:needed]]
     if any(rank.denominator != 1 for rank in ranks):
         raise ArgumentError("each input needs an integer rank, got %s" % ", ".join(map(str, ranks)))
+    reduced = [ch - rank for ch, rank in zip(inputs, ranks)]
     limit = GRID * int(order)
     series = defaultdict(lambda: defaultdict(int))
     for index, (alternating, sign, half_steps) in families:
@@ -582,7 +589,7 @@ def witten_log(spec_id, inputs, order):
                 flip = -1 if alternating and k % 2 == 0 else 1
                 series[(index, k)][step * k] += flip * sign ** k
     return [(QExpSeries(RAT_RING, order, {j: Fraction(n, k) for j, n in nums.items()}),
-             vb_adams(inputs[index], k) - ranks[index])
+             vb_adams(reduced[index], k))
             for (index, k), nums in series.items()]
 
 

@@ -45,13 +45,17 @@ EXPANDABLE = ("Ahat", "Lhat") + CLASS_KINDS
 
 def _emit(text, args):
     if args.output:
-        try:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            raise UsageError("--output: cannot write %s: %s" % (args.output, exc.strerror))
+        _write_output(args.output, "w", text + "\n")
     else:
         print(text)
+
+
+def _write_output(path, mode, text):
+    try:
+        with open(path, mode) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError("--output: cannot write %s: %s" % (path, exc.strerror))
 
 
 def _parse_complex(raw, flag):
@@ -271,6 +275,8 @@ def main(argv=None):
         "theta-check": _cmd_theta_check,
     }
     try:
+        if args.output:  # fail before any work; appending truncates nothing
+            _write_output(args.output, "a", "")
         return commands[args.subcommand](args)
     except (UsageError, ArgumentError) as exc:
         print("error: %s" % exc, file=sys.stderr)

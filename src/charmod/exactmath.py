@@ -4,15 +4,15 @@ A series here is a finite sum ``sum_k a_k * q**(k/24)`` with integer grid
 exponents ``0 <= k <= 24*order``, where ``order`` counts whole powers of q.
 Coefficients live in an exact commutative ring: `fractions.Fraction` scalars
 (via `RAT_RING`) or any caller-supplied ring object exposing ``zero()``,
-``one()``, a hashable ``key`` and the sum-of-products kernel ``dot(pairs)``
-(see `qs_mul`).  No floats ever enter these code paths.
+``one()``, a hashable ``key``, the sum-of-products kernel ``dot(pairs)``
+and the packed view of `qs_mul`.  No floats ever enter these code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 #: Denominator of the exponent grid.  Every exponent is k/GRID with k an
 #: integer, which accommodates q**(1/24), q**(1/8) and q**(1/2) exactly.
@@ -39,6 +39,9 @@ class RatRing:
     """Coefficient ring of exact rationals."""
 
     key = "rat"
+    _limit = 1  # the packed view of `qs_mul`: one monomial, key 0, no cap
+    packed = staticmethod(lambda f: (f.denominator, {0: f.numerator}))
+    from_packed = staticmethod(lambda den, nums: Fraction(nums.get(0, 0), den))
 
     @staticmethod
     def zero():
@@ -232,32 +235,63 @@ def _power(base, exponent, one):
     return one if out is None else out
 
 
-def qs_mul(a, b):
-    """Cauchy product of two series, truncated to the smaller order.
+def _slot_width(top_a, top_b, terms):
+    """Bits W per slot of a packed product.  A slot sums at most ``terms``
+    products of numerators of size at most ``top_a`` and ``top_b``, each
+    below 2**(bits(top_a) + bits(top_b)), so |slot| < 2**(W - 1) and the
+    slot reads back exactly as a signed W-bit field."""
+    return top_a.bit_length() + top_b.bit_length() + terms.bit_length() + 1
 
-    The term pairs are grouped by output exponent and each group is summed
-    by the coefficient ring's kernel: ``ring.dot(pairs)`` returns the sum of
-    ``x * y`` over a list of ``(x, y)`` coefficient pairs as one ring
-    element, and ``ring.zero()`` for an empty list.  `qs_exp` and `qs_inv`
-    use the same kernel, so no product is built as a separate coefficient.
+
+def _columns(series, step, top):
+    """Common denominator of the coefficients at slots 0..top (exponent
+    slot * step), their numerators as sorted (monomial key, {slot:
+    numerator}) columns, and the largest numerator size."""
+    kept = [(k // step, series.ring.packed(c)) for k, c in series.terms.items() if k <= top * step]
+    den = reduce(lcm, (d for _, (d, _) in kept), 1)
+    columns = {}
+    for slot, (d, nums) in kept:
+        for key, n in nums.items():
+            columns.setdefault(key, {})[slot] = n * (den // d)
+    return den, sorted(columns.items()), max((abs(n) for col in columns.values() for n in col.values()), default=0)
+
+
+def qs_mul(a, b):
+    """Cauchy product of two series, truncated to the smaller order, by
+    Kronecker substitution over q (Harvey, "Faster polynomial multiplication
+    via multipoint Kronecker substitution", 2009).  Slots are ``step``
+    apart, the gcd of both supports and the order's grid exponent.  Each
+    operand is one int per monomial key of its ``ring.packed`` view,
+    sum_i n_i 2**(W i) over slots i, and each column pair whose key sum is
+    below ``ring._limit`` is one bigint product.  Output slots read back as
+    signed W-bit fields (`_slot_width`), and each coefficient is built once
+    by ``ring.from_packed``.
     """
     a._require_same_ring(b)
-    order = min(a.order, b.order)
-    limit = GRID * order
-    right = sorted(b.terms.items())
-    groups = {}
-    for ka, ca in a.terms.items():
-        room = limit - ka
-        for kb, cb in right:
-            if kb > room:
+    ring, order = a.ring, min(a.order, b.order)
+    step = gcd(GRID * order, *a.terms, *b.terms) or 1
+    top = GRID * order // step
+    (den_a, cols_a, big_a), (den_b, cols_b, big_b) = _columns(a, step, top), _columns(b, step, top)
+    width = _slot_width(big_a, big_b, (top + 1) * len(cols_a) * len(cols_b))
+    right = [(key, sum(n << width * i for i, n in col.items())) for key, col in cols_b]
+    sums = {}
+    for k1, col in cols_a:
+        x1 = sum(n << width * i for i, n in col.items())
+        room = ring._limit - k1
+        for k2, x2 in right:
+            if k2 >= room:
                 break
-            k = ka + kb
-            if k in groups:
-                groups[k].append((ca, cb))
-            else:
-                groups[k] = [(ca, cb)]
-    dot = a.ring.dot
-    return QExpSeries(a.ring, order, {k: dot(pairs) for k, pairs in groups.items()})
+            sums[k1 + k2] = sums.get(k1 + k2, 0) + x1 * x2
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    slots = {}
+    for key, x in sums.items():
+        for i in range(top + 1):
+            n, x = x & mask, x >> width
+            if n >= half:  # a negative slot borrows one from the next
+                n, x = n - (1 << width), x + 1
+            if n:
+                slots.setdefault(i, {})[key] = n
+    return QExpSeries(ring, order, {i * step: ring.from_packed(den_a * den_b, nums) for i, nums in slots.items()})
 
 
 def qs_inv(a):
@@ -315,8 +349,10 @@ def qs_exp(a):
 
         k b_k = sum_{j in supp t, j <= k} (j t_j) b_{k-j}
 
-    on the 1/24 grid (the 1/24 of each exponent cancels), which costs
-    O(N^2) coefficient products.  exp(s0) is a finite sum because s0 is
+    over grid exponents (the 1/24 of each exponent cancels).  b_k is 0
+    unless the gcd g of t's exponents divides k, so k steps by g: 24 steps,
+    not 576, for whole-q support at order 24, and O(N^2) coefficient
+    products over N steps.  exp(s0) is a finite sum because s0 is
     nilpotent, and multiplies the whole series when s0 is not 0.
     """
     ring = a.ring
@@ -327,8 +363,9 @@ def qs_exp(a):
     zero = ring.zero()
     dot = ring.dot
     scaled = [(j, c * j) for j, c in sorted(a.terms.items()) if j != 0]
+    step = gcd(*(j for j, _ in scaled)) or 1  # 1 when t is zero
     out = {0: ring.one()}
-    for k in range(1, GRID * a.order + 1):
+    for k in range(step, GRID * a.order + 1, step):
         pairs = []
         for j, jc in scaled:
             if j > k:

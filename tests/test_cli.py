@@ -96,6 +96,30 @@ def test_verify_output_to_a_missing_directory_is_a_usage_error(capsys, tmp_path)
     assert err == "error: --output: cannot write %s: No such file or directory\n" % target
 
 
+def test_an_unwritable_output_fails_before_any_check_runs(capsys, monkeypatch, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_registry ran before --output was checked")
+
+    monkeypatch.setattr("charmod.cli.run_registry", no_run)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--id", "all", "--order", "24", "--output", str(target)
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --output: cannot write %s: No such file or directory\n" % target
+
+
+def test_the_output_check_truncates_nothing(capsys, tmp_path):
+    # the unknown id is found after --output is checked, so the file stays whole
+    target = tmp_path / "report.json"
+    target.write_text("kept\n")
+    code, out, err = run_cli(capsys, "verify", "--id", "bogus", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert "unknown id" in err
+    assert target.read_text() == "kept\n"
+
+
 def test_verify_rejects_cap_below_12(capsys):
     # a cap of 8 drops every degree-12 part, so both sides would be 0
     code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--cap", "8")

@@ -8,14 +8,16 @@ multiplication.  Every comparison has a negative control: the oracle's
 result with one coefficient shifted must not compare equal to the kernel's.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charmod import exactmath
 from charmod.charring import GradedPoly, PolyRing
-from charmod.exactmath import GRID, QExpSeries, RAT_RING, qs_exp, qs_inv, qs_mul
+from charmod.exactmath import GRID, QExpSeries, RAT_RING, RatRing, qs_exp, qs_inv, qs_mul
 
 POLY_RING = PolyRing({"u": 2, "v": 4}, cap=8)
 
@@ -85,6 +87,17 @@ def test_exp_matches_power_sum(make, order):
     got = qs_exp(a)
     assert got == expected
     assert got != shifted(expected)
+
+
+@pytest.mark.parametrize("step", [1, 5, 7])
+def test_exp_matches_power_sum_on_a_support_step(step):
+    # k steps by the gcd of the exponents, which need not divide 24
+    a = QExpSeries(RAT_RING, 2, {step: Fraction(1, 3), 3 * step: Fraction(-2), 7 * step: Fraction(5, 7)})
+    expected = power_sum_exp(a)
+    got = qs_exp(a)
+    assert got == expected
+    assert got != shifted(expected)
+    assert all(k % step == 0 for k in got.terms) and len(got.terms) > 3
 
 
 def test_exp_power_sum_sees_the_nilpotent_head():
@@ -332,6 +345,154 @@ def test_qs_mul_matches_pair_loop_on_random_series(ta, tb, oa, ob):
     expected = plain_qs_mul(a, b)
     got = qs_mul(a, b)
     assert got == expected
+    assert got != shifted(expected)
+
+
+# ----------------------------------------------------------------------
+# the packed qs_mul kernel: slots, borrows, widths and supports
+# ----------------------------------------------------------------------
+
+BIG = 2 ** 200
+
+
+def series(ring, order, coeffs, step=GRID):
+    """Series with ``coeffs[i]`` at q**(i * step / 24); rationals are lifted
+    to constants of a polynomial ring."""
+    lift = ring.constant if isinstance(ring, PolyRing) else Fraction
+    return QExpSeries(ring, order, {
+        i * step: lift(c) if isinstance(c, (int, Fraction)) else c for i, c in enumerate(coeffs)
+    })
+
+
+def stepped(ring, step, order, seed):
+    """Coefficients at every multiple of ``step`` up to one past the order's
+    grid exponent, of mixed signs, denominators and sizes."""
+    rng = random.Random(seed)
+    u, v = POLY_RING.gen("u"), POLY_RING.gen("v")
+    coeffs = []
+    for _ in range(GRID * order // step + 2):
+        c = Fraction(rng.choice([-1, 1]) * rng.randrange(1, BIG), rng.randrange(1, 40))
+        coeffs.append(c if ring is RAT_RING else c * u - Fraction(rng.randrange(-9, 9), 7) * v + c * c)
+    return series(ring, order, coeffs, step)
+
+
+def assert_packed_product(a, b):
+    """qs_mul(a, b) and qs_mul(b, a) equal the pair loop's product, hash as
+    it, and hold rationals as Fractions; the shifted oracle differs."""
+    expected = plain_qs_mul(a, b)
+    for got in (qs_mul(a, b), qs_mul(b, a)):
+        assert got == expected
+        for k, c in got.terms.items():
+            assert hash(c) == hash(expected.terms[k])
+            assert isinstance(c, Fraction if a.ring is RAT_RING else GradedPoly)
+        assert got != shifted(expected)
+    return expected
+
+
+def _packed_cases():
+    u, v = POLY_RING.gen("u"), POLY_RING.gen("v")
+    return {
+        # numerators past 2**200, of both signs, in one column and across columns
+        "big-rat": (series(RAT_RING, 3, [BIG + 1, Fraction(-BIG, 7), -(BIG ** 2), 3 ** 130]),
+                    series(RAT_RING, 3, [Fraction(BIG - 1, 3), -BIG, 1, -(3 ** 130)])),
+        "big-poly": (series(POLY_RING, 3, [BIG + 1 - u * 3 ** 130, v * Fraction(-BIG, 7) + u * u * BIG, -(BIG ** 2)]),
+                     series(POLY_RING, 3, [u * Fraction(BIG - 1, 3) - v * BIG, 1, v * 5 - BIG, u * BIG])),
+        # every slot of one factor negative, so every product slot borrows
+        "negative-run-rat": (series(RAT_RING, 5, [-(2 ** 70) - 1] * 6), series(RAT_RING, 5, [1] * 6)),
+        "negative-run-poly": (series(POLY_RING, 5, [-(u * 2 ** 70) - 1] * 6), series(POLY_RING, 5, [u + 3] * 6)),
+        # runs of negative slots between positive ones
+        "sign-runs": (series(RAT_RING, 6, [5, -1, -2, -3, 4, -BIG, -BIG]), series(RAT_RING, 6, [1, 1, -1])),
+        # slot 1 cancels to 0: (1 + q)(1 - q), the q^2 slot truncated at order 1
+        "cancel-slot": (series(RAT_RING, 1, [1, 1]), series(RAT_RING, 1, [1, -1])),
+        # slot 1 is (u + v)^2 + (u - v)^2, whose u*v monomial cancels
+        "cancel-monomial": (series(POLY_RING, 2, [u + v, u - v]), series(POLY_RING, 2, [u - v, u + v])),
+        # slot 1 of u^2 (1 + q)(1 - q) cancels between two slot pairs
+        "cancel-slot-poly": (series(POLY_RING, 2, [u, u]), series(POLY_RING, 2, [u, -u])),
+        # every monomial product past the cap: nonzero factors, zero product
+        "past-cap": (series(POLY_RING, 2, [u * v, v * v]), series(POLY_RING, 2, [v, u * u])),
+        # one denominator per q-coefficient
+        "mixed-den-rat": (series(RAT_RING, 3, [Fraction(1, 6), Fraction(-5, 14), Fraction(7, 9), Fraction(11, 60)]),
+                          series(RAT_RING, 3, [Fraction(-3, 10), 0, Fraction(13, 33)])),
+        "mixed-den-poly": (series(POLY_RING, 3, [u * Fraction(1, 6) + Fraction(7, 9), v * Fraction(-5, 14), Fraction(11, 60)]),
+                           series(POLY_RING, 3, [Fraction(-3, 10), u * Fraction(13, 33) - v * Fraction(1, 8)])),
+        # unequal orders and supports on different lattices: step 4 overall
+        "steps-8-12": (stepped(POLY_RING, 8, 2, 1), stepped(POLY_RING, 12, 3, 2)),
+        "steps-3-rat": (stepped(RAT_RING, 3, 2, 3), stepped(RAT_RING, 24, 4, 4)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_packed_cases()))
+def test_packed_qs_mul_matches_pair_loop(case):
+    a, b = _packed_cases()[case]
+    expected = assert_packed_product(a, b)
+    u, v = POLY_RING.gen("u"), POLY_RING.gen("v")
+    if case == "cancel-slot":
+        assert expected.terms == {0: 1}
+    if case == "cancel-slot-poly":
+        assert sorted(expected.terms) == [0, 2 * GRID]
+    if case == "cancel-monomial":
+        assert expected.terms[GRID] == 2 * u * u + 2 * v * v
+    if case == "past-cap":
+        assert expected.is_zero()
+
+
+@pytest.mark.parametrize("ring", [RAT_RING, POLY_RING], ids=["rational", "poly"])
+@pytest.mark.parametrize("step", [1, 3, 8, 12])
+def test_packed_qs_mul_on_each_support_step(ring, step):
+    a, b = stepped(ring, step, 2, step), stepped(ring, step, 2, step + 100)
+    expected = assert_packed_product(a, b)
+    assert all(k % step == 0 for k in expected.terms)
+    assert any(k % (2 * step) for k in expected.terms)
+
+
+@pytest.mark.parametrize("ring", [RAT_RING, POLY_RING], ids=["rational", "poly"])
+def test_packed_qs_mul_at_order_0_and_by_zero(ring):
+    a, b = stepped(ring, 1, 0, 5), stepped(ring, 1, 2, 6)
+    assert len(a.terms) == 1
+    assert_packed_product(a, a)
+    assert assert_packed_product(a, b).order == 0
+    zero = QExpSeries.zero(ring, 2)
+    for other in (b, zero):
+        assert qs_mul(zero, other) == zero and qs_mul(other, zero) == zero
+        assert qs_mul(zero, other).terms == {}
+
+
+@pytest.mark.parametrize("ring", [RAT_RING, POLY_RING], ids=["rational", "poly"])
+def test_a_slot_two_bits_narrower_wraps(monkeypatch, ring):
+    # slot 1 of the square is 2 (2**64 - 1)**2, past the 129-bit signed
+    # field W - 2 leaves (one column, three slots: W = 64 + 64 + 2 + 1)
+    top = 2 ** 64 - 1
+    coeff = top if ring is RAT_RING else POLY_RING.gen("u") * top
+    a = series(ring, 2, [coeff] * 3)
+    expected = assert_packed_product(a, a)
+    width = exactmath._slot_width
+    monkeypatch.setattr(exactmath, "_slot_width", lambda *args: width(*args) - 2)
+    assert qs_mul(a, a) != expected
+
+
+def test_qs_mul_calls_no_dot(monkeypatch):
+    pairs = [_packed_cases()[case] for case in ("big-rat", "big-poly")]
+    expected = [plain_qs_mul(a, b) for a, b in pairs]
+
+    def no_dot(*args):
+        raise AssertionError("qs_mul called ring.dot")
+
+    monkeypatch.setattr(PolyRing, "dot", no_dot)
+    monkeypatch.setattr(RatRing, "dot", staticmethod(no_dot))
+    assert [qs_mul(a, b) for a, b in pairs] == expected
+
+
+poly_grid_terms = st.dictionaries(st.integers(0, GRID * 2), polys, max_size=6)
+
+
+@given(ta=poly_grid_terms, tb=poly_grid_terms, oa=st.integers(0, 2), ob=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_qs_mul_matches_pair_loop_on_random_poly_series(ta, tb, oa, ob):
+    a, b = QExpSeries(MUL_RING, oa, ta), QExpSeries(MUL_RING, ob, tb)
+    expected = plain_qs_mul(a, b)
+    got = qs_mul(a, b)
+    assert got == expected
+    assert all(hash(c) == hash(expected.terms[k]) for k, c in got.terms.items())
     assert got != shifted(expected)
 
 
