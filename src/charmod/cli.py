@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -265,8 +266,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    created = bool(args.output) and not os.path.lexists(args.output)
+    code = _run(args)
+    if created and code >= EXIT_USAGE and os.path.isfile(args.output):
+        os.remove(args.output)  # the --output check made it; a failed run leaves no file
+    return code
+
+
+def _run(args):
     commands = {
         "verify": _cmd_verify,
         "expand": _cmd_expand,

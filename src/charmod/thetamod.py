@@ -51,15 +51,20 @@ def _sigma(power, n, alternating=False, odd_cofactor=False):
     return total
 
 
+#: Leading coefficient -2k/B_k of each normalized Eisenstein series.
+_EISENSTEIN = {2: -24, 4: 240, 6: -504, 10: -264, 14: -24}
+
+
 @lru_cache(maxsize=None)
 def eisenstein(k, order):
-    """Normalized Eisenstein series E_2, E_4 or E_6 truncated at q^order."""
-    if k not in (2, 4, 6):
-        raise ArgumentError("Eisenstein weight must be 2, 4 or 6, got %r" % (k,))
-    front = {2: -24, 4: 240, 6: -504}[k]
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n
+    truncated at q^order, k in 2, 4, 6, 10, 14.  With no cusp forms of weight
+    10 or 14, E_10 = E_4 E_6 and E_14 = E_4^2 E_6 span those spaces."""
+    if k not in _EISENSTEIN:
+        raise ArgumentError("Eisenstein weight must be 2, 4, 6, 10 or 14, got %r" % (k,))
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
-        coeffs.append(Fraction(front * _sigma(k - 1, n)))
+        coeffs.append(Fraction(_EISENSTEIN[k] * _sigma(k - 1, n)))
     return QExpSeries.from_q_coeffs(RAT_RING, order, coeffs)
 
 
@@ -84,34 +89,27 @@ def series_in_ring(series, ring):
 # theta products and their logarithmic ratios
 # ----------------------------------------------------------------------
 
-THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
-
 #: The normalized theta ratios whose logs are taken:
 #:   theta:  y theta'(0)/theta(y) = (y/2)/sinh(y/2)
 #:           * prod (1-q^j)^2 / ((1-e^y q^j)(1-e^-y q^j));
 #:   theta1: cosh(y/2) * prod (1+e^y q^j)(1+e^-y q^j) / (1+q^j)^2;
 #:   theta2/theta3 likewise without a prefactor, on exponents j-1/2 and with
 #:   signs -/+.
-#: q^0 logs of the classical prefactors, keyed by the power of y.
-_PREFACTOR_LOG = {
-    "theta": {2: Fraction(-1, 24), 4: Fraction(1, 2880), 6: Fraction(-1, 181440)},
-    "theta1": {2: Fraction(1, 8), 4: Fraction(-1, 192), 6: Fraction(1, 2880)},
-    "theta2": {},
-    "theta3": {},
-}
-
-#: Lambert-series form of each log-ratio beyond q^0: (sign, alternating,
-#: half_steps).  A factor pair over t = q^j or q^(j-1/2) contributes
+#: Each row is (q^0 log of the classical prefactor at y^2, y^4, y^6; sign,
+#: alternating, half_steps), the last three giving the Lambert-series form
+#: beyond q^0.  A factor pair over t = q^j or q^(j-1/2) contributes
 #: sign * sum_m (+-t)^m/m (e^{my} + e^{-my} - 2), so the y^{2k} coefficient
 #: at q^(n/s) is sign * 2/(2k)! * sum m^{2k-1} over the divisors m of n,
 #: weighted by (-1)^{m+1} when alternating; s = 2 on half steps, where only
 #: divisors with n/m odd occur.
-_LAMBERT = {
-    "theta": (1, False, False),
-    "theta1": (1, True, False),
-    "theta2": (-1, False, True),
-    "theta3": (1, True, True),
+_LOG_RATIO = {
+    "theta": ((Fraction(-1, 24), Fraction(1, 2880), Fraction(-1, 181440)), 1, False, False),
+    "theta1": ((Fraction(1, 8), Fraction(-1, 192), Fraction(1, 2880)), 1, True, False),
+    "theta2": ((Fraction(0),) * 3, -1, False, True),
+    "theta3": ((Fraction(0),) * 3, 1, True, True),
 }
+
+THETA_KINDS = tuple(_LOG_RATIO)
 
 
 @lru_cache(maxsize=None)
@@ -120,12 +118,12 @@ def theta_log_ratio(kind, order):
     ratio; the four kinds sum to log(y/tanh(y/2)) - log 2 at q^0."""
     if kind not in THETA_KINDS:
         raise ArgumentError("unknown theta kind %r" % (kind,))
-    sign, alternating, half_steps = _LAMBERT[kind]
+    prefactor_log, sign, alternating, half_steps = _LOG_RATIO[kind]
     step = GRID // 2 if half_steps else GRID
     out = []
-    for k in (1, 2, 3):
+    for k, constant in zip((1, 2, 3), prefactor_log):
         scale = Fraction(2 * sign, factorial(2 * k))
-        terms = {0: _PREFACTOR_LOG[kind].get(2 * k, Fraction(0))}
+        terms = {0: constant}
         for n in range(1, GRID * order // step + 1):
             terms[step * n] = scale * _sigma(2 * k - 1, n, alternating, half_steps)
         out.append(QExpSeries(RAT_RING, order, terms))
@@ -244,30 +242,32 @@ def e8_lattice_theta(order):
 # ----------------------------------------------------------------------
 
 
+#: Each theta function numerically: (prefactor, sign, half_steps, (shift
+#: phase, partner), (inversion factor, partner)).  It is [2 q^(1/8) prefactor(pi v)]
+#: prod (1 - q^j)(1 + sign z t)(1 + sign t/z) over t = q^j, or q^(j-1/2) on half steps.
+#: The laws: theta(v, tau + 1) = phase * partner(v, tau) and theta(v, -1/tau)
+#: = factor * sqrt(tau/i) exp(pi i tau v^2) * partner(tau v, tau).
+_NUMERIC = {
+    "theta": (cmath.sin, -1, False, (cmath.exp(1j * cmath.pi / 4), "theta"), (-1j, "theta")),
+    "theta1": (cmath.cos, 1, False, (cmath.exp(1j * cmath.pi / 4), "theta1"), (1, "theta2")),
+    "theta2": (None, -1, True, (1, "theta3"), (1, "theta1")),
+    "theta3": (None, 1, True, (1, "theta2"), (1, "theta3")),
+}
+
+
 def _theta_numeric(kind, v, tau, terms):
     # Fractional q-powers are defined through tau (q^r := exp(2 pi i tau r)),
     # not as principal powers of q, so the shift law picks up the right phase.
+    prefactor, sign, half_steps, _, _ = _NUMERIC[kind]
     q = cmath.exp(2j * cmath.pi * tau)
     q_eighth = cmath.exp(1j * cmath.pi * tau / 4)
     q_half = cmath.exp(1j * cmath.pi * tau)
     z = cmath.exp(2j * cmath.pi * v)
-    if kind == "theta":
-        out = 2 * q_eighth * cmath.sin(cmath.pi * v)
-    elif kind == "theta1":
-        out = 2 * q_eighth * cmath.cos(cmath.pi * v)
-    else:
-        out = 1
+    out = 2 * q_eighth * prefactor(cmath.pi * v) if prefactor else 1
     for j in range(1, terms + 1):
         qj = q ** j
-        qh = q_half ** (2 * j - 1)
-        if kind == "theta":
-            out *= (1 - qj) * (1 - z * qj) * (1 - qj / z)
-        elif kind == "theta1":
-            out *= (1 - qj) * (1 + z * qj) * (1 + qj / z)
-        elif kind == "theta2":
-            out *= (1 - qj) * (1 - z * qh) * (1 - qh / z)
-        elif kind == "theta3":
-            out *= (1 - qj) * (1 + z * qh) * (1 + qh / z)
+        t = q_half ** (2 * j - 1) if half_steps else qj
+        out *= (1 - qj) * (1 + sign * z * t) * (1 + sign * t / z)
     return out
 
 
@@ -340,23 +340,14 @@ def numeric_transform_check(kind, v, tau, terms=40, tol=1e-8):
             - (tau * tau * _e2_numeric(tau, terms) - 6j * tau / cmath.pi)
         )
     else:
-        shift_phase = {"theta": cmath.exp(1j * cmath.pi / 4),
-                       "theta1": cmath.exp(1j * cmath.pi / 4),
-                       "theta2": 1,
-                       "theta3": 1}[kind]
-        shift_partner = {"theta": "theta", "theta1": "theta1",
-                         "theta2": "theta3", "theta3": "theta2"}[kind]
+        _, _, _, (shift_phase, shift_partner), (factor, inversion_partner) = _NUMERIC[kind]
         shift_residual = abs(
             _theta_numeric(kind, v, tau + 1, terms)
             - shift_phase * _theta_numeric(shift_partner, v, tau, terms)
         )
-        inversion_prefactor = {"theta": -1j * root, "theta1": root,
-                               "theta2": root, "theta3": root}[kind]
-        inversion_partner = {"theta": "theta", "theta1": "theta2",
-                             "theta2": "theta1", "theta3": "theta3"}[kind]
         inversion_residual = abs(
             _theta_numeric(kind, v, inv_tau, terms)
-            - inversion_prefactor * gauss * _theta_numeric(inversion_partner, tau * v, tau, terms)
+            - factor * root * gauss * _theta_numeric(inversion_partner, tau * v, tau, terms)
         )
 
     return {
@@ -374,29 +365,17 @@ def numeric_transform_check(kind, v, tau, terms=40, tol=1e-8):
 # modular-basis matching
 # ----------------------------------------------------------------------
 
-MODULAR_WEIGHTS = (10, 14)
-
-
-@lru_cache(maxsize=None)
-def modular_basis(weight, order):
-    """Generator of the one-dimensional weight space: E4*E6 or E4^2*E6."""
-    if weight not in MODULAR_WEIGHTS:
-        raise ArgumentError("weight must be 10 or 14, got %r" % (weight,))
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
-    if weight == 10:
-        return qs_mul(e4, e6)
-    return qs_mul(qs_mul(e4, e4), e6)
-
-
 def match_modular_basis(series, weight):
-    """Assert ``series = m * basis`` with m the q^0 coefficient; return m.
+    """Assert ``series = m * E_weight`` with m the q^0 coefficient; return m.
 
+    The weight is 10 or 14, where E_weight spans the space of modular forms.
     Works for rational series and for series with polynomial coefficients.
     Raises NotProportional carrying the first failing exponent and the
     difference there.
     """
-    basis = modular_basis(weight, series.order)
+    if weight not in (10, 14):
+        raise ArgumentError("weight must be 10 or 14, got %r" % (weight,))
+    basis = eisenstein(weight, series.order)
     m = series.coefficient(0)
     zero = series.ring.zero()
     keys = set(series.terms) | {GRID * n for n in range(series.order + 1)}

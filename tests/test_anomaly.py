@@ -44,7 +44,7 @@ from charmod.charring import (
     witten_expand,
 )
 from charmod.exactmath import GRID, QExpSeries, _exp_nilpotent, qs_inv, qs_mul
-from charmod.thetamod import eisenstein, match_modular_basis, modular_basis
+from charmod.thetamod import eisenstein, match_modular_basis
 
 FACT_IDS = [reg_id for reg_id in REGISTRY_IDS if reg_id.startswith("fact_")]
 
@@ -211,12 +211,12 @@ def test_fact_checks_fail_when_the_theta_sum_is_scaled(monkeypatch):
 def test_fact_basis_rows_fix_the_q1_ratio():
     # match_modular_basis sets m = s0 and forces s1 = m * (basis q^1), so
     # once it passes the q^1/q^0 ratio of each fact_* class is the basis
-    # row's: E4^2 E6 at weight 14 and E4 E6 at weight 10, the 6 + 4k of
-    # k = 2 and k = 1 E8 copies
+    # row's: E14 = E4^2 E6 at weight 14 and E10 = E4 E6 at weight 10, the
+    # 6 + 4k of k = 2 and k = 1 E8 copies
     copies = {anomaly._row(reg_id, anomaly._check_fact)[1] for reg_id in FACT_IDS}
     assert sorted(6 + 4 * k for k in copies) == [10, 14]
-    assert [modular_basis(14, 1).coefficient(n) for n in (0, 1)] == [1, -24]
-    assert [modular_basis(10, 1).coefficient(n) for n in (0, 1)] == [1, -264]
+    assert [eisenstein(14, 1).coefficient(n) for n in (0, 1)] == [1, -24]
+    assert [eisenstein(10, 1).coefficient(n) for n in (0, 1)] == [1, -264]
 
 
 @pytest.mark.parametrize("name, keys", [("ThetaTwisted", ("T", "xi")), ("Phi", ("T",))])
@@ -639,7 +639,7 @@ def _clear_caches(*modules):
 def test_a_cold_registry_run_builds_each_shared_series_once(monkeypatch):
     # B and B^2 once per (ring, order), each twisted class once, so
     # sqrt_relation makes only its own two products.  The thetamod caches
-    # are cleared as well: `modular_basis` makes the other three products.
+    # are cleared as well; E10 and E14 are closed forms and make no product.
     calls = {"qs_exp": 0, "qs_mul": 0}
 
     def counting(name, fn):
@@ -654,7 +654,7 @@ def test_a_cold_registry_run_builds_each_shared_series_once(monkeypatch):
         monkeypatch.setattr(module, "qs_mul", counted_mul)
     _clear_caches(anomaly, thetamod)
     assert all(report.passed for report in run_registry(order=4))
-    assert calls == {"qs_exp": 5, "qs_mul": 11}
+    assert calls == {"qs_exp": 5, "qs_mul": 8}
 
     _clear_caches(anomaly, thetamod)
     run_registry(["fact_spinc_q", "fact_spinc_r"], order=4)

@@ -120,6 +120,20 @@ def test_the_output_check_truncates_nothing(capsys, tmp_path):
     assert target.read_text() == "kept\n"
 
 
+def test_a_failed_command_leaves_no_file_the_output_check_made(capsys, tmp_path):
+    # the check creates the file to prove it writable; exit 2 removes it again
+    target = tmp_path / "new.json"
+    code, out, err = run_cli(capsys, "verify", "--id", "bogus", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert "unknown id" in err
+    assert not target.exists()
+    code, _, _ = run_cli(
+        capsys, "verify", "--id", "wfh_main", "--order", "1", "--output", str(target)
+    )
+    assert code == EXIT_PASS
+    assert "wfh_main" in target.read_text()
+
+
 def test_verify_rejects_cap_below_12(capsys):
     # a cap of 8 drops every degree-12 part, so both sides would be 0
     code, out, err = run_cli(capsys, "verify", "--id", "fact_spinc_q", "--cap", "8")

@@ -91,6 +91,22 @@ MUTANTS = [
         FACT_IDS,
     ),
     (
+        # the weight-10 basis: the fact_* ids with one E8 copy
+        "e10-front-minus264-to-minus265",
+        "thetamod.py",
+        "10: -264",
+        "10: -265",
+        ("fact_spinc_r", "fact_orient_r"),
+    ),
+    (
+        # the weight-14 basis: the fact_* ids with two E8 copies
+        "e14-front-minus24-to-minus23",
+        "thetamod.py",
+        "14: -24}",
+        "14: -23}",
+        ("fact_spinc_q", "fact_orient_q"),
+    ),
+    (
         # R(x) is V's root part, so every id that reads V or the E8 factor
         "e8-root-6x2-to-7x2",
         "charring.py",

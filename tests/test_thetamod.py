@@ -24,6 +24,7 @@ from charmod.exactmath import (
     qs_log,
     qs_mul,
 )
+from charmod import thetamod
 from charmod.thetamod import (
     THETA_KINDS,
     NotProportional,
@@ -33,7 +34,6 @@ from charmod.thetamod import (
     e8_theta_sum,
     eisenstein,
     match_modular_basis,
-    modular_basis,
     numeric_transform_check,
     phi,
     series_in_ring,
@@ -78,6 +78,17 @@ def test_eisenstein_pinned_rows():
     assert eisenstein(6, 3).as_q_coeffs() == [1, -504, -16632, -122976]
     with pytest.raises(ArgumentError):
         eisenstein(8, 3)
+
+
+def test_eisenstein_of_weight_10_and_14_are_the_products():
+    # the weight-10 and weight-14 spaces are one-dimensional, so the closed
+    # forms equal E4 E6 and E4^2 E6 built by series products
+    e4, e6 = eisenstein(4, 24), eisenstein(6, 24)
+    assert eisenstein(10, 24) == qs_mul(e4, e6)
+    assert eisenstein(14, 24) == qs_mul(qs_mul(e4, e4), e6)
+    assert eisenstein(10, 24) != shifted(qs_mul(e4, e6))
+    assert eisenstein(10, 3).as_q_coeffs() == [1, -264, -135432, -5196576]
+    assert eisenstein(14, 2).as_q_coeffs() == [1, -24, -196632]
 
 
 def test_eisenstein_divisor_sums():
@@ -395,13 +406,13 @@ def test_e8_factor_rejects_a_cap_of_16_or_more():
 
 
 def test_match_modular_basis_positive():
-    basis = modular_basis(10, 5)
+    basis = eisenstein(10, 5)
     scaled = basis.scale(Fraction(-7, 3))
     assert match_modular_basis(scaled, 10) == Fraction(-7, 3)
 
 
 def test_match_modular_basis_negative():
-    basis = modular_basis(14, 5)
+    basis = eisenstein(14, 5)
     perturbed = basis + QExpSeries.from_q_coeffs(
         RAT_RING, 5, [Fraction(0), Fraction(0), Fraction(1)]
     )
@@ -409,8 +420,13 @@ def test_match_modular_basis_negative():
         match_modular_basis(perturbed, 14)
     assert info.value.order == 2
     assert info.value.difference == 1
+
+
+@pytest.mark.parametrize("weight", [4, 12])
+def test_match_modular_basis_rejects_other_weights(weight):
+    # E4 exists, but only the weights 10 and 14 are matched; 12 has a cusp form
     with pytest.raises(ArgumentError):
-        modular_basis(12, 5)
+        match_modular_basis(eisenstein(4, 5), weight)
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +447,58 @@ def test_numeric_generic_tau():
     for kind in ("theta", "theta2"):
         result = numeric_transform_check(kind, 0.2 - 0.05j, tau, terms=60, tol=1e-8)
         assert result["passed"], (kind, result)
+
+
+def explicit_theta(kind, v, tau, terms):
+    """Each theta product written out by hand, one branch per kind."""
+    q = cmath.exp(2j * cmath.pi * tau)
+    q_eighth = cmath.exp(1j * cmath.pi * tau / 4)
+    q_half = cmath.exp(1j * cmath.pi * tau)
+    z = cmath.exp(2j * cmath.pi * v)
+    if kind == "theta":
+        out = 2 * q_eighth * cmath.sin(cmath.pi * v)
+    elif kind == "theta1":
+        out = 2 * q_eighth * cmath.cos(cmath.pi * v)
+    else:
+        out = 1
+    for j in range(1, terms + 1):
+        qj = q ** j
+        qh = q_half ** (2 * j - 1)
+        if kind == "theta":
+            out *= (1 - qj) * (1 - z * qj) * (1 - qj / z)
+        elif kind == "theta1":
+            out *= (1 - qj) * (1 + z * qj) * (1 + qj / z)
+        elif kind == "theta2":
+            out *= (1 - qj) * (1 - z * qh) * (1 - qh / z)
+        elif kind == "theta3":
+            out *= (1 - qj) * (1 + z * qh) * (1 + qh / z)
+    return out
+
+
+@pytest.mark.parametrize("kind", THETA_KINDS)
+def test_numeric_theta_matches_the_explicit_products(kind):
+    for tau in (2j, 0.37 + 1.21j, -0.4 + 0.9j, 0.5 + 0.7j):
+        for v in (0j, 0.3 + 0.1j, 0.2 - 0.05j, 0.5, tau * (0.2 - 0.05j)):
+            for terms in (1, 10, 40):
+                expected = explicit_theta(kind, v, tau, terms)
+                assert thetamod._theta_numeric(kind, v, tau, terms) == expected, (tau, v, terms)
+
+
+@pytest.mark.parametrize(
+    "label, kind, index, value, must_fail",
+    [
+        ("theta1 cos to sin", "theta1", 0, cmath.sin, ("theta1", "theta2")),
+        ("theta2 sign -1 to +1", "theta2", 1, 1, ("theta1", "theta2", "theta3")),
+        ("theta inversion -1j to 1j", "theta", 4, (1j, "theta"), ("theta",)),
+    ],
+)
+def test_a_wrong_numeric_row_fails_its_laws(monkeypatch, label, kind, index, value, must_fail):
+    row = list(thetamod._NUMERIC[kind])
+    row[index] = value
+    monkeypatch.setitem(thetamod._NUMERIC, kind, tuple(row))
+    for checked in THETA_KINDS:
+        result = numeric_transform_check(checked, 0.3 + 0.1j, 1.1j, terms=40, tol=1e-8)
+        assert result["passed"] == (checked not in must_fail), (label, checked, result)
 
 
 def test_numeric_rejects_lower_half_plane():
