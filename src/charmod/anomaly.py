@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .exactmath import GRID, QExpSeries, _exp_nilpotent, _nilpotent_sum, qs_mul
@@ -126,16 +127,6 @@ def mod2_reduce(poly, images):
 
 
 @lru_cache(maxsize=None)
-def _tangent(ring):
-    return ch_tangent(12, ring)
-
-
-@lru_cache(maxsize=None)
-def _e8_bundle(ring):
-    return e8_ch(ring.gen("x"))
-
-
-@lru_cache(maxsize=None)
 def _e8_theta_sum(ring, order):
     """phi^8 times the character q-series of the calibrated rank-248
     bundle: the E8 factor of a twisted class, one per copy."""
@@ -197,8 +188,8 @@ def _weight_class(base, ring):
 def _witten_args(base, ring):
     """The twist spec and inputs of a base's Witten series: the tangent
     character, and xi for spin^c."""
-    xi = [line_pair_ch(ring.gen("c"))] if base == "spinc" else []
-    return _BASES[base][1], [_tangent(ring)] + xi
+    b = display_bundles(ring)
+    return _BASES[base][1], [b["T"]] + ([b["xi"]] if base == "spinc" else [])
 
 
 @lru_cache(maxsize=None)
@@ -269,12 +260,8 @@ def _bracket_power(copies, ring, order, e8_factor):
 
 def degree_part_series(series, degree):
     """Take the homogeneous part of every q-coefficient."""
-    terms = {}
-    for grid_key, poly in series.terms.items():
-        part = poly.homogeneous_part(degree)
-        if not part.is_zero():
-            terms[grid_key] = part
-    return QExpSeries(series.ring, series.order, terms)
+    return QExpSeries(series.ring, series.order,
+                      {k: poly.homogeneous_part(degree) for k, poly in series.terms.items()})
 
 
 # ----------------------------------------------------------------------
@@ -282,24 +269,25 @@ def degree_part_series(series, degree):
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def display_bundles(ring):
-    """Characters of the bundles named by the displays: T, V, the line pair
-    xi of c and its reduction xi_t, the exterior and symmetric squares of T,
-    and the displayed q^1 bundles B1 (spin^c) and D1 (orientable)."""
-    T = _tangent(ring)
+    """Characters of the bundles named by the displays, read-only: T, V, the
+    line pair xi of c and its reduction xi_t, the exterior and symmetric
+    squares of T, and the displayed q^1 bundles B1 (spin^c) and D1 (orientable)."""
+    T = ch_tangent(12, ring)
     xi = line_pair_ch(ring.gen("c"))
     xi_t = xi - 2
     lam2, sym2 = vb_lambda2_sym2(T)
-    return {
+    return MappingProxyType({
         "T": T,
-        "V": _e8_bundle(ring),
+        "V": e8_ch(ring.gen("x")),
         "xi": xi,
         "xi_t": xi_t,
         "lam2": lam2,
         "sym2": sym2,
         "B1": T - 12 - 3 * xi_t - xi_t * xi_t,
         "D1": 2 * T + lam2 - sym2 - 12,
-    }
+    })
 
 
 #: The degree-8 class p of each base's cubic form.
@@ -310,6 +298,7 @@ _P_CLASSES = {
 }
 
 
+@lru_cache(maxsize=None)
 def cubic_form(base, k, ring):
     """(L, Q) of the cubic form L * Q of a base with k copies of the E8
     bundle.
@@ -358,6 +347,7 @@ def exp_minus_one_over(k_poly):
     return _nilpotent_sum(k_poly, lambda j: Fraction(1, 24 ** (j + 1) * factorial(j + 1)))
 
 
+@lru_cache(maxsize=None)
 def _q0_coefficient(base, k, ring):
     """exp(K/24) W, with W the base's weight class: the q^0 coefficient of
     the base twisted by k copies, as E2, the Witten series and E8 factor
@@ -370,7 +360,7 @@ def deg8_display_sides(reg_id, ring):
     one display."""
     base, k = _row(reg_id, _check_deg8)
     u = exp_minus_one_over(_exponent(base, k, ring))
-    bundle = _index_bundle(k, _e8_bundle(ring), _q1_bundle(base, ring))
+    bundle = _index_bundle(k, display_bundles(ring)["V"], _q1_bundle(base, ring))
     brace = -(u * _weight_class(base, ring) * bundle) + _q0_coefficient(base, k, ring)
     _, Q = cubic_form(base, k, ring)
     return brace.homogeneous_part(8), Q * _BASES[base][3]
@@ -383,6 +373,7 @@ def deg8_display_sides(reg_id, ring):
 U_GENERATORS = {"tP1": 4, "tP2": 8, "tx": 4, "e": 2}
 
 
+@lru_cache(maxsize=None)
 def boundary_ring(cap=10):
     return PolyRing(U_GENERATORS, cap=cap)
 
@@ -442,16 +433,21 @@ def boundary_tanh_term(which, target=None):
     T_U + N and V to i*V, so it is 2 i*V + T_U + N - 4 for differ1 and
     i*V + T_U + N + 244 for differ2.
     """
-    ru = target or boundary_ring()
+    ahat_tanh, i_v, reduced = _boundary_pieces(target or boundary_ring())
+    bundle = _index_bundle(_row(which, _check_differ)[1], i_v, reduced)
+    return ((ahat_tanh * bundle) / 2).homogeneous_part(10)
+
+
+@lru_cache(maxsize=None)
+def _boundary_pieces(ring):
+    """Ahat(T_U) tanh(e/4), i*V and T_U + N - 12 over a boundary ring: the
+    parts of `boundary_tanh_term` that both comparisons share."""
     names = ("tP1", "tP2")
-    ahat = multiplicative_class("Ahat", 10, ru, pontryagin_names=names)
-    tangent = ch_tangent(10, ru, pontryagin_names=names)
-    normal = line_pair_ch(ru.gen("e"))
-    i_v = e8_ch(ru.gen("tx"))
-    bundle = _index_bundle(_row(which, _check_differ)[1], i_v, tangent + normal - 12)
-    e = ru.gen("e")
+    e = ring.gen("e")
+    ahat = multiplicative_class("Ahat", 10, ring, pontryagin_names=names)
     tanh = e / 4 - e ** 3 / 192 + e ** 5 / 7680
-    return ((ahat * bundle * tanh) / 2).homogeneous_part(10)
+    reduced = ch_tangent(10, ring, pontryagin_names=names) + line_pair_ch(e) - 12
+    return ahat * tanh, e8_ch(ring.gen("tx")), reduced
 
 
 def verify_differ(which, cap=12):
@@ -514,6 +510,8 @@ def _witness(lhs, rhs):
     series at its lowest power of q."""
     if lhs.is_zero() and rhs.is_zero():
         return "both sides are 0"
+    if lhs == rhs:
+        return ""
     diff = lhs - rhs
     if diff.is_zero():
         return ""
@@ -531,7 +529,7 @@ def theorem_sides(reg_id, ring):
     base, k = _row(reg_id, _check_theorem)
     w, c = _BASES[base][3:]
     L, Q = cubic_form(base, k, ring)
-    bundle = _index_bundle(k, _e8_bundle(ring), _q1_bundle(base, ring))
+    bundle = _index_bundle(k, display_bundles(ring)["V"], _q1_bundle(base, ring))
     lhs = L * Q * (2 * w * c / k)
     rhs = _weight_class(base, ring) * bundle * (c / k)
     return lhs.homogeneous_part(12), rhs.homogeneous_part(12)
@@ -627,7 +625,7 @@ def _check_residues(reg_id, order, cap):
     w2, w4, w8 = (MOD2_RING.gen(name) for name in ("w2", "w4", "w8"))
     problems, data, assumptions = [], {}, []
     if base == "spinc":
-        q_ring = PolyRing({"q1": 4, "q2": 8, "c": 2}, cap=8)
+        q_ring = _integral_ring()
         q1, q2, c = (q_ring.gen(name) for name in ("q1", "q2", "c"))
         integral = {"p1": 2 * q1 + c * c, "p2": 2 * q2 + q1 * q1, "c": c}
         p, lam = (_substitute(v, integral, q_ring) for v in (p, lam))
@@ -658,6 +656,10 @@ def _check_residues(reg_id, order, cap):
         if got != expected:
             problems.append("mod-2 residue of %s is %s, expected %s" % (label, got, expected))
     return "; ".join(problems), [], assumptions, data
+
+
+#: The ring of the integral generators q1, q2, c of the spin^c residues.
+_integral_ring = lru_cache(maxsize=None)(lambda: PolyRing({"q1": 4, "q2": 8, "c": 2}, cap=8))
 
 
 def _check_differ(reg_id, order, cap):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, gcd, lcm
 
-from .exactmath import GRID, RAT_RING, NotInvertible, QExpSeries, qs_exp
+from .exactmath import GRID, RAT_RING, ArgumentError, NotInvertible, QExpSeries, qs_exp
 from .exactmath import _exp_nilpotent, _nilpotent_sum, _power
 
 
@@ -27,10 +27,6 @@ class DegreeError(ValueError):
 
 class DimError(ValueError):
     """An unsupported manifold dimension was requested."""
-
-
-class ArgumentError(ValueError):
-    """An argument is outside the supported range."""
 
 
 class SpecError(ValueError):
@@ -75,7 +71,7 @@ class PolyRing:
         self.names = tuple(self.degrees)
         self.cap = int(cap)
         if self.cap < 0:
-            raise ValueError("the degree cap must be at least 0, got %d" % self.cap)
+            raise ArgumentError("the degree cap must be at least 0, got %d" % self.cap)
         self.key = ("graded", tuple(self.degrees.items()), self.cap)
         self._index = {name: i for i, name in enumerate(self.names)}
         # (offset, mask) of each generator's exponent field, last one lowest
@@ -136,15 +132,15 @@ class PolyRing:
         return _poly(self, den, nums)
 
     def zero(self):
-        return _poly(self, 1, {})
+        return _normal(self, 1, {})
 
     def one(self):
-        return _poly(self, 1, {0: 1})
+        return _normal(self, 1, {0: 1})
 
     def constant(self, value):
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
-        return _poly(self, value.denominator, {0: value.numerator})
+        return _normal(self, value.denominator, {0: value.numerator} if value else {})
 
     def gen(self, name):
         if name not in self._gens:
@@ -219,22 +215,28 @@ class GradedPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return _poly(self.ring, self.den, self._scaled_nums(-1))
+        return _normal(self.ring, self.den, self._scaled_nums(-1))
 
     def _scaled_nums(self, factor):
         return {k: n * factor for k, n in self.nums.items()}
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _poly(self.ring, self.den * other.denominator, self._scaled_nums(other.numerator))
+            # p/q in lowest terms: den is coprime to the content c of nums,
+            # so gcd(den q, c p) = gcd(den, p) gcd(q, c) gives the normal form
+            p, q = other.numerator, other.denominator
+            if not p:
+                return self.ring.zero()
+            g_p, g_q = gcd(self.den, p), gcd(q, *self.nums.values()) if q != 1 else 1
+            p //= g_p
+            nums = {k: n // g_q * p for k, n in self.nums.items()}
+            return _normal(self.ring, self.den // g_p * (q // g_q), nums)
         self._require_same_ring(other)
         return self.ring.dot(((self, other),))
 
@@ -368,6 +370,12 @@ def _poly(ring, den, nums):
     if g != 1:
         den //= g
         nums = {k: n // g for k, n in nums.items()}
+    return _normal(ring, den, nums)
+
+
+def _normal(ring, den, nums):
+    """Element from its normal form: ``nums`` sorted by key and free of
+    zeros, and ``den`` > 0 sharing no factor with all of them."""
     poly = object.__new__(GradedPoly)
     poly.ring, poly.den, poly.nums, poly._coeffs = ring, den, nums, None
     return poly
@@ -565,12 +573,13 @@ def exp_combination(pairs, ring, order):
 
 
 def witten_log(spec_id, inputs, order):
-    """The log of `witten_character` as ``(s_k(q), psi^k E)`` pairs for
+    """The log of `witten_character` as ``(t_j(q), E_2j)`` pairs for
     `exp_combination`, one per input ([tangent] or [tangent, twist], each
-    of integer rank) and Adams power k: E is the input's reduced character,
-    built once (psi^k fixes degree 0), and s_k the rational series the
-    input's factor families give it.  Every term of s_k is an integer over
-    k, so the numerators are summed as ints."""
+    of integer rank) and degree 2j of its reduced character E (psi^k fixes
+    degree 0).  The input's factor families give it sum_k s_k(q) psi^k E,
+    every term of s_k an integer over k; psi^k scales E_2j by k^j, so that
+    is sum_j t_j E_2j with t_j = sum_k k^j s_k, whose terms are the ints
+    k^(j-1) times those numerators for j >= 1."""
     if spec_id not in _WITTEN_SPECS:
         raise SpecError("unknown twist-bundle id %r" % (spec_id,))
     families = _WITTEN_SPECS[spec_id]
@@ -581,16 +590,19 @@ def witten_log(spec_id, inputs, order):
     if any(rank.denominator != 1 for rank in ranks):
         raise ArgumentError("each input needs an integer rank, got %s" % ", ".join(map(str, ranks)))
     reduced = [ch - rank for ch, rank in zip(inputs, ranks)]
-    limit = GRID * int(order)
+    ring, shift, limit = inputs[0].ring, inputs[0].ring._shift, GRID * int(order)
     series = defaultdict(lambda: defaultdict(int))
     for index, (alternating, sign, half_steps) in families:
+        powers = {(key >> shift) // 2 for key in reduced[index].nums}  # as `vb_adams` reads degrees
         for step in range(GRID // 2 if half_steps else GRID, limit + 1, GRID):
             for k in range(1, limit // step + 1):
-                flip = -1 if alternating and k % 2 == 0 else 1
-                series[(index, k)][step * k] += flip * sign ** k
-    return [(QExpSeries(RAT_RING, order, {j: Fraction(n, k) for j, n in nums.items()}),
-             vb_adams(reduced[index], k))
-            for (index, k), nums in series.items()]
+                term = (-1 if alternating and k % 2 == 0 else 1) * sign ** k
+                for j in powers:
+                    series[(index, j)][step * k] += term * k ** (j - 1) if j else Fraction(term, k)
+    return [(QExpSeries(RAT_RING, order, {g: Fraction(n) for g, n in nums.items()}),
+             _poly(ring, reduced[index].den,
+                   {key: n for key, n in reduced[index].nums.items() if (key >> shift) // 2 == j}))
+            for (index, j), nums in series.items()]
 
 
 def witten_character(spec_id, inputs, order):

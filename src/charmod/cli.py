@@ -105,12 +105,7 @@ def _series_lines(series):
 
 
 def _cmd_expand(args):
-    if args.order < 0:
-        raise UsageError("--order must be at least 0, got %d" % args.order)
-    try:
-        ring = default_ring(args.cap)
-    except ValueError as exc:
-        raise UsageError("--cap: %s" % exc)
+    ring = default_ring(args.cap)
     name = args.class_name
     if name in ("Ahat", "Lhat"):
         poly = multiplicative_class(name, 12, ring)

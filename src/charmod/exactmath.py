@@ -19,6 +19,10 @@ from math import factorial, gcd, lcm
 GRID = 24
 
 
+class ArgumentError(ValueError):
+    """An argument is outside the supported range."""
+
+
 class RingMismatchError(TypeError):
     """Two series over different coefficient rings were combined."""
 
@@ -95,7 +99,7 @@ class QExpSeries:
     def __init__(self, ring, order, terms=None):
         order = int(order)
         if order < 0:
-            raise ValueError("order must be >= 0")
+            raise ArgumentError("the series order must be at least 0, got %d" % order)
         self.ring = ring
         self.order = order
         clean = {}

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .exactmath import GRID, RAT_RING, QExpSeries, qs_inv, qs_mul
-from .charring import ArgumentError, e8_root_ch
+from .exactmath import GRID, RAT_RING, ArgumentError, QExpSeries, qs_inv, qs_mul
+from .charring import e8_root_ch
 
 
 class PrecisionError(ArithmeticError):
@@ -187,8 +187,12 @@ def e8_theta_sum(g, order):
             raise ArgumentError("g-class of degree %d is not homogeneous" % degree)
     if ring.cap >= 16 and not (g2.is_zero() and g3.is_zero()):
         raise ArgumentError("a cap above 15 would read g2 and g3, got %d" % ring.cap)
-    x = g1 * Fraction(-1, 2)
-    coeffs = [ring.one()] + [e8_root_ch(x * n) * _sigma(3, n) for n in range(1, int(order) + 1)]
+    # R(n x) scales the degree-4j part r_j x^j of R(x) by n^j
+    parts = [e8_root_ch(g1 * Fraction(-1, 2)).homogeneous_part(4 * j) for j in range(4)]
+    coeffs = [ring.one()]
+    for n in range(1, int(order) + 1):
+        weight = _sigma(3, n)
+        coeffs.append(ring.dot([(ring.constant(weight * n ** j), part) for j, part in enumerate(parts)]))
     return QExpSeries.from_q_coeffs(ring, order, coeffs)
 
 

@@ -663,6 +663,69 @@ def test_a_cold_registry_run_builds_each_shared_series_once(monkeypatch):
     assert calls == {"qs_exp": 0, "qs_mul": 2}
 
 
+def test_a_cold_registry_run_builds_each_polynomial_once(monkeypatch):
+    # with every cache of the three layers cleared, each builder of (base,
+    # k, ring) runs once: a multiplicative class for the three weight
+    # classes and the boundary Ahat, and a line pair for cosh(c/2), xi and
+    # the boundary normal bundle, where differ1 and differ2 used to build
+    # their boundary pieces twice and the displays their xi five times
+    calls = {"dot": 0, "multiplicative_class": 0, "line_pair_ch": 0}
+    dot = PolyRing.dot
+
+    def counted_dot(ring, pairs):
+        calls["dot"] += 1
+        return dot(ring, pairs)
+
+    def counting(name):
+        original = getattr(anomaly, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(PolyRing, "dot", counted_dot)
+    for name in ("multiplicative_class", "line_pair_ch"):
+        monkeypatch.setattr(anomaly, name, counting(name))
+    _clear_caches(anomaly, charring, thetamod)
+    assert all(report.passed for report in run_registry(order=4))
+    assert calls == {"dot": 465, "multiplicative_class": 4, "line_pair_ch": 3}
+    # a warm run builds no class and no line pair again
+    calls.update(dot=0, multiplicative_class=0, line_pair_ch=0)
+    assert all(report.passed for report in run_registry(order=4))
+    assert (calls["multiplicative_class"], calls["line_pair_ch"]) == (0, 0)
+
+
+def test_display_bundles_cannot_be_mutated():
+    bundles = display_bundles(default_ring())
+    with pytest.raises(TypeError):
+        bundles["T"] = bundles["V"]
+    with pytest.raises(TypeError):
+        del bundles["xi"]
+    assert display_bundles(default_ring()) is bundles
+
+
+def test_witness_of_equal_sides_makes_no_subtraction(monkeypatch):
+    ring = default_ring()
+    series = build_twisted_class("Rc", 3, ring)
+    twin = QExpSeries(ring, 3, dict(series.terms))
+    poly, poly_twin = series.coefficient(1), series.coefficient(1) * 1
+
+    def no_subtraction(self, other):
+        raise AssertionError("equal sides were subtracted")
+
+    monkeypatch.setattr(QExpSeries, "__sub__", no_subtraction)
+    monkeypatch.setattr(charring.GradedPoly, "__sub__", no_subtraction)
+    assert anomaly._witness(series, twin) == ""
+    assert anomaly._witness(poly, poly_twin) == ""
+    monkeypatch.undo()
+    # a differing pair still gets its lowest-q witness
+    x = ring.gen("x")
+    off = series + QExpSeries(ring, 3, {GRID: 2 * x, 2 * GRID: x})
+    assert anomaly._witness(off, series) == "q^(1): 2*x"
+    assert anomaly._witness(series, off) == "q^(1): -2*x"
+
+
 def test_the_class_memo_follows_the_e8_factor(monkeypatch):
     # warm classes built with the true E8 factor must not answer for a
     # replaced one, nor the replaced one's classes for the restored factor

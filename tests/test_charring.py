@@ -7,16 +7,19 @@ a symmetric function of formal roots and compared coefficient by
 coefficient.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from charmod import charring
 from charmod.charring import (
     ArgumentError,
     DegreeError,
     DimError,
     GradedPoly,
+    exp_combination,
     PolyRing,
     SpecError,
     calibrate_e8_roots,
@@ -30,7 +33,9 @@ from charmod.charring import (
     vb_lambda2_sym2,
     witten_character,
     witten_expand,
+    witten_log,
 )
+from charmod.exactmath import GRID, RAT_RING, QExpSeries
 from charmod.thetamod import e8_character
 
 
@@ -479,6 +484,83 @@ def test_witten_expand_validation():
 # ----------------------------------------------------------------------
 # rank-248 calibration
 # ----------------------------------------------------------------------
+
+
+# ----------------------------------------------------------------------
+# the Adams log, per degree against per Adams power
+# ----------------------------------------------------------------------
+
+
+def _family_terms(spec_id, order):
+    """Each factor family's log coefficients as (input index, k, grid
+    exponent, integer n): the term n q^(exponent/24) psi^k(E) / k."""
+    limit = GRID * order
+    for index, (alternating, sign, half_steps) in charring._WITTEN_SPECS[spec_id]:
+        for step in range(GRID // 2 if half_steps else GRID, limit + 1, GRID):
+            for k in range(1, limit // step + 1):
+                yield index, k, step * k, (-1 if alternating and k % 2 == 0 else 1) * sign ** k
+
+
+def _reduced_inputs(spec_id, ring):
+    inputs = [ch_tangent(12, ring), line_pair_ch(ring.gen("c"))]
+    needed = 1 + max(index for index, _ in charring._WITTEN_SPECS[spec_id])
+    return [ch - ch.constant_term() for ch in inputs[:needed]]
+
+
+def per_k_pairs(spec_id, ring, order):
+    """The log as one (s_k(q), psi^k E) pair per input and Adams power k,
+    as `witten_log` built it before grouping by degree."""
+    reduced = _reduced_inputs(spec_id, ring)
+    series = defaultdict(lambda: defaultdict(int))
+    for index, k, grid_key, n in _family_terms(spec_id, order):
+        series[(index, k)][grid_key] += n
+    return [(QExpSeries(RAT_RING, order, {g: Fraction(n, k) for g, n in nums.items()}),
+             vb_adams(reduced[index], k))
+            for (index, k), nums in series.items()]
+
+
+def per_degree_pairs(spec_id, ring, order, power):
+    """The log as one (sum_k n k^power(j) q^.., E_2j) pair per input and
+    degree 2j; ``power(j)`` = j - 1 is the grouping of `witten_log`."""
+    reduced = _reduced_inputs(spec_id, ring)
+    series = defaultdict(lambda: defaultdict(Fraction))
+    for index, k, grid_key, n in _family_terms(spec_id, order):
+        for degree in (4, 8, 12):
+            series[(index, degree)][grid_key] += n * Fraction(k) ** power(degree // 2)
+    return [(QExpSeries(RAT_RING, order, nums), reduced[index].homogeneous_part(degree))
+            for (index, degree), nums in series.items()]
+
+
+@pytest.mark.parametrize("spec_id", sorted(charring._WITTEN_SPECS))
+@pytest.mark.parametrize("order", [0, 1, 8, 24])
+@pytest.mark.parametrize("cap", [12, 15])
+def test_per_degree_adams_log_matches_the_per_k_pairs(spec_id, order, cap):
+    ring = default_ring(cap)
+    inputs = [ch_tangent(12, ring), line_pair_ch(ring.gen("c"))]
+    pairs = witten_log(spec_id, inputs, order)
+    assert exp_combination(pairs, ring, order) == exp_combination(per_k_pairs(spec_id, ring, order), ring, order)
+    # one pair per input and degree 4, 8, 12 carried by E, each series integral
+    assert len(pairs) == (len(_reduced_inputs(spec_id, ring)) * 3 if order else 0)
+    assert all(c.denominator == 1 for series, _ in pairs for c in series.terms.values())
+    expected = per_degree_pairs(spec_id, ring, order, lambda j: j - 1)
+    assert {part: series for series, part in pairs} == {part: series for series, part in expected}
+
+
+def test_adams_log_pair_counts_at_order_24():
+    ring = default_ring()
+    assert [len(per_k_pairs(s, ring, 24)) for s in ("ThetaTwisted", "Phi")] == [72, 48]
+    assert [len(witten_log(s, [ch_tangent(12, ring), line_pair_ch(ring.gen("c"))], 24))
+            for s in ("ThetaTwisted", "Phi")] == [6, 3]
+
+
+@pytest.mark.parametrize("spec_id", sorted(charring._WITTEN_SPECS))
+def test_per_degree_adams_log_with_k_to_the_j_fails(spec_id):
+    # the control: scaling E_2j by k^j, forgetting the 1/k of each term,
+    # must not reproduce the per-k pairs
+    ring = default_ring()
+    oracle = exp_combination(per_k_pairs(spec_id, ring, 8), ring, 8)
+    assert exp_combination(per_degree_pairs(spec_id, ring, 8, lambda j: j - 1), ring, 8) == oracle
+    assert exp_combination(per_degree_pairs(spec_id, ring, 8, lambda j: j), ring, 8) != oracle
 
 
 def test_calibration_solves_to_power_sums_of_x():

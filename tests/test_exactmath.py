@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmod import exactmath
-from charmod.charring import default_ring
+import charmod
+from charmod import charring, exactmath
+from charmod.charring import PolyRing, default_ring
 from charmod.exactmath import (
     GRID,
     GridError,
@@ -34,6 +35,17 @@ def series(coeffs, order=None):
 # ----------------------------------------------------------------------
 # q-series structure
 # ----------------------------------------------------------------------
+
+
+def test_negative_orders_and_caps_raise_the_one_argument_error():
+    # the owners of the order and the cap reject negatives themselves, so
+    # the command line maps both to a usage error without checks of its own
+    assert charring.ArgumentError is exactmath.ArgumentError is charmod.ArgumentError
+    with pytest.raises(exactmath.ArgumentError, match="^the series order must be at least 0, got -1$"):
+        QExpSeries(RAT_RING, -1)
+    with pytest.raises(exactmath.ArgumentError, match="^the degree cap must be at least 0, got -1$"):
+        PolyRing({"u": 4}, cap=-1)
+    assert QExpSeries(RAT_RING, 0).order == 0 and PolyRing({"u": 4}, cap=0).cap == 0
 
 
 def test_from_q_coeffs_and_coefficient():

@@ -10,13 +10,14 @@ result with one coefficient shifted must not compare equal to the kernel's.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmod import exactmath
-from charmod.charring import GradedPoly, PolyRing
+from charmod import charring, exactmath
+from charmod.charring import GradedPoly, PolyRing, _poly
 from charmod.exactmath import GRID, QExpSeries, RAT_RING, RatRing, qs_exp, qs_inv, qs_mul
 
 POLY_RING = PolyRing({"u": 2, "v": 4}, cap=8)
@@ -646,3 +647,88 @@ def test_equal_polys_built_by_different_routes_hash_equal():
     assert p + q != q + p + a * Fraction(1, 1000)
     assert ((p + q) - q - p) == MUL_RING.zero()
     assert hash((p + q) - q - p) == hash(MUL_RING.zero())
+
+
+# ----------------------------------------------------------------------
+# normal forms built directly against `_poly` and the Fraction model
+# ----------------------------------------------------------------------
+
+
+def assert_normal(got, ring, den, nums, expected):
+    """``got`` equals, and hashes as, both `_poly` of (den, nums) and the
+    element of the model ``expected``, and is in normal form itself."""
+    for other in (_poly(ring, den, nums), GradedPoly(ring, expected)):
+        assert got == other and hash(got) == hash(other)
+    assert got.coeffs == expected
+    assert got.den > 0 and gcd(got.den, *got.nums.values()) == 1
+    assert list(got.nums) == sorted(got.nums) and all(got.nums.values())
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def scalar_products(draw):
+    """A polynomial with a common factor in its numerators, and a scalar
+    p/q whose p is a multiple of a divisor of the polynomial's den and q of
+    a divisor of its content, so the gcd step has factors on both sides;
+    p may be negative."""
+    common = Fraction(draw(st.integers(1, 36)), draw(st.integers(1, 60)))
+    exps = draw(st.lists(exponents, min_size=1, max_size=8, unique=True))
+    poly = GradedPoly(MUL_RING, {e: draw(st.integers(-20, 20)) * common for e in exps})
+    p = draw(st.sampled_from(_divisors(poly.den))) * draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+    q = draw(st.sampled_from(_divisors(gcd(*poly.nums.values()) or 1))) * draw(st.integers(1, 6))
+    return poly, Fraction(p, q)
+
+
+@given(case=scalar_products(), other=coefficients)
+@settings(max_examples=200, deadline=None)
+def test_scalar_product_normal_form_matches_poly_and_model(case, other):
+    poly, scalar = case
+    for s in (scalar, -scalar, scalar.numerator, 0, other):
+        expected = model(MUL_RING, {e: c * s for e, c in poly.coeffs.items()})
+        nums = {k: n * Fraction(s).numerator for k, n in poly.nums.items()}
+        for got in (poly * s, s * poly):
+            assert_normal(got, MUL_RING, poly.den * Fraction(s).denominator, nums, expected)
+    if scalar:
+        inverse = 1 / scalar
+        assert_normal(poly / scalar, MUL_RING, poly.den * inverse.denominator,
+                      {k: n * inverse.numerator for k, n in poly.nums.items()},
+                      model(MUL_RING, {e: c * inverse for e, c in poly.coeffs.items()}))
+
+
+@given(poly=polys)
+@settings(max_examples=100, deadline=None)
+def test_negation_normal_form_matches_poly_and_model(poly):
+    expected = {e: -c for e, c in poly.coeffs.items()}
+    assert_normal(-poly, MUL_RING, poly.den, {k: -n for k, n in poly.nums.items()}, expected)
+
+
+@given(value=coefficients | st.integers(-50, 50))
+@settings(max_examples=100, deadline=None)
+def test_constant_normal_form_matches_poly_and_model(value):
+    value = Fraction(value)
+    expected = model(MUL_RING, {(0, 0, 0): value})
+    assert_normal(MUL_RING.constant(value), MUL_RING, value.denominator, {0: value.numerator}, expected)
+
+
+def test_constants_zero_and_one_are_normal():
+    assert_normal(MUL_RING.constant(0), MUL_RING, 1, {}, {})
+    assert_normal(MUL_RING.constant(Fraction(0, 7)), MUL_RING, 7, {0: 0}, {})
+    assert_normal(MUL_RING.zero(), MUL_RING, 5, {}, {})
+    assert_normal(MUL_RING.one(), MUL_RING, 3, {0: 3}, {(0, 0, 0): Fraction(1)})
+
+
+def test_a_scalar_product_that_skips_its_gcd_step_differs(monkeypatch):
+    # the control: den 3 shares 3 with p and the content 2 shares 2 with
+    # q, so an unreduced (6, {6, 12}) must not compare equal to (1, {1, 2})
+    g = MUL_RING.gens()
+    poly = g["a"] * Fraction(2, 3) + g["b"] * Fraction(4, 3)
+    assert (poly.den, list(poly.nums.values())) == (3, [2, 4])
+    expected = g["a"] + 2 * g["b"]
+    assert poly * Fraction(3, 2) == expected
+    monkeypatch.setattr(charring, "gcd", lambda *args: 1)
+    skipped = poly * Fraction(3, 2)
+    assert skipped.coeffs == expected.coeffs
+    assert skipped != expected
