@@ -591,15 +591,19 @@ def witten_log(spec_id, inputs, order):
         raise ArgumentError("each input needs an integer rank, got %s" % ", ".join(map(str, ranks)))
     reduced = [ch - rank for ch, rank in zip(inputs, ranks)]
     ring, shift, limit = inputs[0].ring, inputs[0].ring._shift, GRID * int(order)
-    series = defaultdict(lambda: defaultdict(int))
+    per_k = defaultdict(lambda: defaultdict(int))  # k s_k of each (input, k)
     for index, (alternating, sign, half_steps) in families:
-        powers = {(key >> shift) // 2 for key in reduced[index].nums}  # as `vb_adams` reads degrees
         for step in range(GRID // 2 if half_steps else GRID, limit + 1, GRID):
             for k in range(1, limit // step + 1):
-                term = (-1 if alternating and k % 2 == 0 else 1) * sign ** k
-                for j in powers:
-                    series[(index, j)][step * k] += term * k ** (j - 1) if j else Fraction(term, k)
-    return [(QExpSeries(RAT_RING, order, {g: Fraction(n) for g, n in nums.items()}),
+                per_k[(index, k)][step * k] += (-1 if alternating and k % 2 == 0 else 1) * sign ** k
+    powers = [{(key >> shift) // 2 for key in ch.nums} for ch in reduced]  # as `vb_adams` reads degrees
+    series = defaultdict(lambda: defaultdict(int))
+    for (index, k), nums in per_k.items():
+        for j in powers[index]:
+            weight = k ** (j - 1) if j else Fraction(1, k)
+            for grid_key, n in nums.items():
+                series[(index, j)][grid_key] += weight * n
+    return [(QExpSeries(RAT_RING, order, {g: Fraction(n) for g, n in nums.items() if n}),
              _poly(ring, reduced[index].den,
                    {key: n for key, n in reduced[index].nums.items() if (key >> shift) // 2 == j}))
             for (index, j), nums in series.items()]

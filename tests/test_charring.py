@@ -507,10 +507,11 @@ def _reduced_inputs(spec_id, ring):
     return [ch - ch.constant_term() for ch in inputs[:needed]]
 
 
-def per_k_pairs(spec_id, ring, order):
+def per_k_pairs(spec_id, ring, order, reduced=None):
     """The log as one (s_k(q), psi^k E) pair per input and Adams power k,
-    as `witten_log` built it before grouping by degree."""
-    reduced = _reduced_inputs(spec_id, ring)
+    as `witten_log` built it before grouping by degree, over the reduced
+    tangent and xi characters unless ``reduced`` is given."""
+    reduced = reduced or _reduced_inputs(spec_id, ring)
     series = defaultdict(lambda: defaultdict(int))
     for index, k, grid_key, n in _family_terms(spec_id, order):
         series[(index, k)][grid_key] += n
@@ -551,6 +552,19 @@ def test_adams_log_pair_counts_at_order_24():
     assert [len(per_k_pairs(s, ring, 24)) for s in ("ThetaTwisted", "Phi")] == [72, 48]
     assert [len(witten_log(s, [ch_tangent(12, ring), line_pair_ch(ring.gen("c"))], 24))
             for s in ("ThetaTwisted", "Phi")] == [6, 3]
+
+
+@pytest.mark.parametrize("spec_id", sorted(charring._WITTEN_SPECS))
+def test_per_degree_adams_log_reads_odd_degrees_as_vb_adams(spec_id):
+    # a degree-1 generator puts parts of degree 1 and 3 into E, which
+    # psi^k scales by k^0 and k^1 as it does degrees 0 and 2
+    ring = PolyRing({"u": 1, "c": 2}, cap=5)
+    u, c = ring.gen("u"), ring.gen("c")
+    inputs = [3 + u + c * Fraction(1, 2) + u * c - u ** 3 * Fraction(1, 3), 2 + u * u + c * u]
+    reduced = [ch - ch.constant_term() for ch in inputs]
+    pairs = witten_log(spec_id, inputs, 6)
+    assert exp_combination(pairs, ring, 6) == exp_combination(per_k_pairs(spec_id, ring, 6, reduced), ring, 6)
+    assert any(c.denominator != 1 for series, _ in pairs for c in series.terms.values())
 
 
 @pytest.mark.parametrize("spec_id", sorted(charring._WITTEN_SPECS))
