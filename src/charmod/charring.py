@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, gcd, lcm
 
-from .exactmath import GRID, RAT_RING, ArgumentError, NotInvertible, QExpSeries, qs_exp
+from .exactmath import GRID, RAT_RING, ArgumentError, NotInvertible, QExpSeries, _series, qs_exp
 from .exactmath import _exp_nilpotent, _nilpotent_sum, _power
 
 
@@ -603,7 +603,7 @@ def witten_log(spec_id, inputs, order):
             weight = k ** (j - 1) if j else Fraction(1, k)
             for grid_key, n in nums.items():
                 series[(index, j)][grid_key] += weight * n
-    return [(QExpSeries(RAT_RING, order, {g: Fraction(n) for g, n in nums.items() if n}),
+    return [(_series(RAT_RING, int(order), {g: Fraction(n) for g, n in nums.items() if n}),
              _poly(ring, reduced[index].den,
                    {key: n for key, n in reduced[index].nums.items() if (key >> shift) // 2 == j}))
             for (index, j), nums in series.items()]

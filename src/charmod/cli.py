@@ -24,7 +24,7 @@ from .cubiclattice import (
     load_lattice_json,
     solve_bhat,
 )
-from .exactmath import GRID
+from .exactmath import GRID, _series_order
 from .thetamod import (
     NUMERIC_KINDS,
     PrecisionError,
@@ -64,6 +64,15 @@ def _parse_complex(raw, flag):
         return complex(raw.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise UsageError("%s: cannot parse %r as a complex number" % (flag, raw))
+
+
+def _order_arg(raw):
+    """``expand --order``, checked where it is parsed by the series' own
+    order check, so every class rejects a negative order."""
+    try:
+        return _series_order(int(raw))
+    except ValueError as exc:  # ArgumentError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class UsageError(Exception):
@@ -235,7 +244,7 @@ def build_parser():
     p_expand.add_argument(
         "--class", dest="class_name", required=True, choices=EXPANDABLE
     )
-    p_expand.add_argument("--order", type=int, default=6)
+    p_expand.add_argument("--order", type=_order_arg, default=6)
     p_expand.add_argument("--cap", type=int, default=12)
     p_expand.add_argument("--output")
 

@@ -94,6 +94,10 @@ class TrilinearLattice:
         x = list(map(index, x))
         return sum([t * x[i] * x[j] * x[k] for i, j, k, t in self._cube_entries])
 
+    def _cube(self, x):
+        """`cube` of a sequence of Python ints, not checked again."""
+        return sum([t * x[i] * x[j] * x[k] for i, j, k, t in self._cube_entries])
+
     def _contract(self, a):
         """The matrix T(a, e_j, e_k), as nested lists of Python ints."""
         out = [[0] * self.rank for _ in range(self.rank)]
@@ -148,13 +152,9 @@ def is_characteristic(lattice, a):
     (x, y) mod 2, and the condition holds iff it holds on the n^2 basis
     pairs: T(a,e_i,e_j) = T(e_i,e_i,e_j) + T(e_i,e_j,e_j) mod 2.
     """
-    a = _int_vector(a, lattice.rank, "a")
-    t = lattice.tensor
-    ta = lattice._contract(a)
-    n = lattice.rank
-    return all(
-        (ta[i][j] - t[i][i][j] - t[i][j][j]) % 2 == 0 for i in range(n) for j in range(n)
-    )
+    t, n = lattice.tensor, lattice.rank
+    ta = lattice._contract(_int_vector(a, n, "a"))
+    return all((ta[i][j] - t[i][i][j] - t[i][j][j]) % 2 == 0 for i in range(n) for j in range(n))
 
 
 def _basis_terms(lattice, a, modulus):
@@ -183,17 +183,14 @@ def solve_bhat(lattice, a, modulus=24, samples=None, seed=None):
         raise ValueError("modulus must be one of %s" % (MODULI,))
     a = _int_vector(a, lattice.rank, "a")
     if modulus == 24 and not is_characteristic(lattice, a):
-        warnings.warn(
-            "a = %s is not characteristic; mod-24 linearization may fail" % (a,),
-            HypothesisWarning,
-            stacklevel=2,
-        )
+        warnings.warn("a = %s is not characteristic; mod-24 linearization may fail" % (a,),
+                      HypothesisWarning, stacklevel=2)
 
     ta, taa, bhat = _basis_terms(lattice, a, modulus)
     linear = [3 * v - b for v, b in zip(taa, bhat)]
     for x in certificate_points(lattice.rank):
         quad = sum(xj * sum(map(mul, row, x)) for xj, row in zip(x, ta) if xj)
-        defect = (4 * lattice.cube(x) + 6 * quad + sum(map(mul, linear, x))) % modulus
+        defect = (4 * lattice._cube(x) + 6 * quad + sum(map(mul, linear, x))) % modulus
         if defect:
             raise NoSolution(x, defect, modulus)
     return bhat
@@ -203,7 +200,7 @@ def _poly_f(lattice, a, b, x):
     """f_{a,b}(x) = (a+x)^3 - b(a+x), products through T; the registry's
     cubic form with two E8 copies is L Q = -f_{lam,p}(2x), lam = K_0/2."""
     y = list(map(add, a, x))
-    return lattice.cube(y) - sum(map(mul, y, b))
+    return lattice._cube(y) - sum(map(mul, y, b))
 
 
 def _poly_f_tilde(lattice, a, shifted_b, x):
@@ -212,7 +209,7 @@ def _poly_f_tilde(lattice, a, shifted_b, x):
     is L Q = -ftilde_{lam,p}(x)."""
     y = list(map(add, a, x))
     quad = lattice.trilinear(a, y, y)
-    return 4 * lattice.cube(y) - 6 * quad - sum(map(mul, y, shifted_b))
+    return 4 * lattice._cube(y) - 6 * quad - sum(map(mul, y, shifted_b))
 
 
 def check_cubic_relations(lattice, spec, samples=None, seed=None):
@@ -271,14 +268,11 @@ def check_cubic_relations(lattice, spec, samples=None, seed=None):
 
 
 def _ratio(value):
-    """(numerator, denominator) of an int, a Fraction or anything that
-    ``Fraction`` accepts."""
-    if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    return value.numerator, value.denominator
-
-
-_SIGNS = (1, -1, -1, -1, 1, 1, 1, -1)
+    """(numerator, denominator) of an int, a Fraction or anything ``Fraction`` accepts."""
+    try:
+        return value.as_integer_ratio()
+    except AttributeError:
+        return Fraction(value).as_integer_ratio()
 
 
 def verify_refinement(lattice, h, samples=1000, seed=None):
@@ -287,25 +281,29 @@ def verify_refinement(lattice, h, samples=1000, seed=None):
     h maps integer vectors (lists of ints) to rationals; the identity tested
     is T(x,y,z) = h(x+y+z) - h(x+y) - h(x+z) - h(y+z) + h(x) + h(y) + h(z)
     - h(0).  h is an arbitrary callable, so this samples: ``samples``
-    triples with entries in [-9, 9], drawn with ``random.Random(seed)``.
+    triples with entries in [-9, 9], drawn with ``random.Random(seed)``.  It
+    calls h 7 * samples + 1 times in a fixed order, h(0) once and then each
+    triple's points in the order above, so any memo of h is the caller's.
     The eight values are summed as int numerators over their lcm.  Raises
     ValueError for fewer than one sample, which would check nothing.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1, got %r" % (samples,))
     rng = random.Random(seed)
-    n = lattice.rank
-    h0 = _ratio(h([0] * n))
-    entries = range(-9, 10)
+    n, entries = lattice.rank, lattice._entries
+    n0, d0 = _ratio(h([0] * n))
+    span = range(-9, 10)
     for _ in range(int(samples)):
-        drawn = rng.choices(entries, k=3 * n)
+        drawn = rng.choices(span, k=3 * n)
         x, y, z = drawn[:n], drawn[n:2 * n], drawn[2 * n:]
         xy, xz, yz = list(map(add, x, y)), list(map(add, x, z)), list(map(add, y, z))
-        values = [_ratio(h(v)) for v in (list(map(add, xy, z)), xy, xz, yz, x, y, z)]
-        values.append(h0)
-        den = lcm(*[d for _, d in values])
-        total = sum(s * num * (den // d) for s, (num, d) in zip(_SIGNS, values))
-        if total != lattice.trilinear(x, y, z) * den:
+        (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
+            _ratio(h(list(map(add, xy, z)))), _ratio(h(xy)), _ratio(h(xz)), _ratio(h(yz)))
+        (n5, d5), (n6, d6), (n7, d7) = _ratio(h(x)), _ratio(h(y)), _ratio(h(z))
+        den = lcm(d0, d1, d2, d3, d4, d5, d6, d7)
+        total = (n1 * (den // d1) - n2 * (den // d2) - n3 * (den // d3) - n4 * (den // d4)
+                 + n5 * (den // d5) + n6 * (den // d6) + n7 * (den // d7) - n0 * (den // d0))
+        if total != sum([t * x[i] * y[j] * z[k] for i, j, k, t in entries]) * den:
             return {"passed": False, "samples": int(samples), "witness": [x, y, z]}
     return {"passed": True, "samples": int(samples), "witness": None}
 

@@ -97,9 +97,7 @@ class QExpSeries:
     __slots__ = ("ring", "order", "terms")
 
     def __init__(self, ring, order, terms=None):
-        order = int(order)
-        if order < 0:
-            raise ArgumentError("the series order must be at least 0, got %d" % order)
+        order = _series_order(order)
         self.ring = ring
         self.order = order
         clean = {}
@@ -224,6 +222,22 @@ class QExpSeries:
         return "QExpSeries(order=%d, terms=%r)" % (self.order, dict(sorted(self.terms.items())))
 
 
+def _series_order(order):
+    """``order`` as an int, or ArgumentError when it is negative."""
+    order = int(order)
+    if order < 0:
+        raise ArgumentError("the series order must be at least 0, got %d" % order)
+    return order
+
+
+def _series(ring, order, terms):
+    """Series from its normal form: ``terms`` maps int grid exponents in
+    [0, GRID * order] to nonzero coefficients, and ``order`` is an int >= 0."""
+    series = object.__new__(QExpSeries)
+    series.ring, series.order, series.terms = ring, order, terms
+    return series
+
+
 def _power(base, exponent, one):
     """``base ** exponent`` for an exponent >= 0 by square-and-multiply,
     starting from the base at the lowest set bit, so no product by ``one``
@@ -295,7 +309,7 @@ def qs_mul(a, b):
                 n, x = n - (1 << width), x + 1
             if n:
                 slots.setdefault(i, {})[key] = n
-    return QExpSeries(ring, order, {i * step: ring.from_packed(den_a * den_b, nums) for i, nums in slots.items()})
+    return _series(ring, order, {i * step: ring.from_packed(den_a * den_b, nums) for i, nums in slots.items()})
 
 
 def qs_inv(a):
@@ -381,7 +395,7 @@ def qs_exp(a):
             acc = dot(pairs) * Fraction(1, k)
             if acc != zero:
                 out[k] = acc
-    out = QExpSeries(ring, a.order, out)
+    out = _series(ring, a.order, out)
     return out if s0 is None else out.scale(_exp_nilpotent(s0))
 
 

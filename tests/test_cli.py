@@ -186,11 +186,25 @@ def test_expand_unknown_class(capsys):
     capsys.readouterr()
 
 
-def test_expand_rejects_negative_order(capsys):
-    code, out, err = run_cli(capsys, "expand", "--class", "Qc", "--order", "-1")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err == "error: the series order must be at least 0, got -1\n"
+@pytest.mark.parametrize("name", EXPANDABLE)
+def test_expand_rejects_negative_order(capsys, name, tmp_path):
+    # checked where --order is parsed, so Ahat and Lhat, which read no
+    # order, reject it too, and no --output file is made
+    target = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as info:
+        main(["expand", "--class", name, "--order", "-1", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert info.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --order: the series order must be at least 0, got -1\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("name", EXPANDABLE)
+def test_expand_accepts_order_0(capsys, name):
+    code, out, err = run_cli(capsys, "expand", "--class", name, "--order", "0")
+    assert code == EXIT_PASS
+    assert out and err == ""
 
 
 def test_expand_rejects_negative_cap(capsys):

@@ -4,10 +4,13 @@ third-difference check for cubic refinements."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from math import lcm
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +308,173 @@ def test_refinement_that_samples_nothing_raises(samples):
     # no triple drawn means nothing checked, which must not read as a pass
     with pytest.raises(ValueError, match="at least 1"):
         verify_refinement(rank1_lattice(), lambda v: Fraction(int(v[0]) ** 3, 6), samples=samples)
+
+
+def rank3_lattice():
+    # symmetrization of x1^3 + 2 x1 x2 x3 - x2^2 x3 + 3 x3^3
+    entries = {(0, 0, 0): 1, (0, 1, 2): 2, (1, 1, 2): -1, (2, 2, 2): 3}
+    t = [[[entries.get(tuple(sorted((i, j, k))), 0) for k in range(3)] for j in range(3)] for i in range(3)]
+    return TrilinearLattice(t)
+
+
+LATTICES = {1: rank1_lattice, 2: rank2_lattice, 3: rank3_lattice}
+
+
+def third_difference_points(rank, samples, seed, swap=False):
+    """The points h must be called on, in order: 0 once, then for each
+    triple drawn x+y+z, x+y, x+z, y+z, x, y, z (x+z before x+y if swap)."""
+    rng = random.Random(seed)
+    points = [[0] * rank]
+    for _ in range(samples):
+        drawn = rng.choices(range(-9, 10), k=3 * rank)
+        x, y, z = drawn[:rank], drawn[rank:2 * rank], drawn[2 * rank:]
+        xy = [a + b for a, b in zip(x, y)]
+        xz = [a + c for a, c in zip(x, z)]
+        yz = [b + c for b, c in zip(y, z)]
+        xyz = [a + b + c for a, b, c in zip(x, y, z)]
+        points += [xyz] + ([xz, xy] if swap else [xy, xz]) + [yz, x, y, z]
+    return points
+
+
+def old_refinement(lattice, h, samples, seed):
+    """verify_refinement's loop as it was before it was unrolled: one list
+    of (numerator, denominator) values zipped with the eight signs."""
+    signs = (1, -1, -1, -1, 1, 1, 1, -1)
+
+    def ratio(value):
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return value.numerator, value.denominator
+
+    rng = random.Random(seed)
+    n = lattice.rank
+    h0 = ratio(h([0] * n))
+    for _ in range(samples):
+        drawn = rng.choices(range(-9, 10), k=3 * n)
+        x, y, z = drawn[:n], drawn[n:2 * n], drawn[2 * n:]
+        xy, xz, yz = list(map(add, x, y)), list(map(add, x, z)), list(map(add, y, z))
+        values = [ratio(h(v)) for v in (list(map(add, xy, z)), xy, xz, yz, x, y, z)]
+        values.append(h0)
+        den = lcm(*[d for _, d in values])
+        total = sum(s * num * (den // d) for s, (num, d) in zip(signs, values))
+        if total != lattice.trilinear(x, y, z) * den:
+            return {"passed": False, "samples": samples, "witness": [x, y, z]}
+    return {"passed": True, "samples": samples, "witness": None}
+
+
+def cube_over_six(lattice):
+    return lambda v: Fraction(lattice.cube(v), 6)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("samples", [1, 200])
+def test_refinement_calls_h_on_the_pinned_points_in_order(rank, samples):
+    lat = LATTICES[rank]()
+    calls = []
+
+    def h(v):
+        calls.append(list(v))
+        return Fraction(lat.cube(v), 6)
+
+    report = verify_refinement(lat, h, samples=samples, seed=17)
+    assert report == {"passed": True, "samples": samples, "witness": None}
+    assert len(calls) == 7 * samples + 1
+    assert calls == third_difference_points(rank, samples, 17)
+    # the controls: another seed, or x+y and x+z swapped, must not match
+    assert calls != third_difference_points(rank, samples, 18)
+    assert calls != third_difference_points(rank, samples, 17, swap=True)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_refinement_wrong_at_one_point_gives_the_old_witness(rank):
+    lat = LATTICES[rank]()
+    points = third_difference_points(rank, 200, 23)
+    bad = points[1 + 7 * 40 + 2]  # x+z of the 41st triple
+    first = (points.index(bad) - 1) // 7  # the first triple that reaches it
+
+    def h(v):
+        return Fraction(lat.cube(v), 6) + (1 if list(v) == bad else 0)
+
+    report = verify_refinement(lat, h, samples=200, seed=23)
+    assert report == old_refinement(lat, h, 200, 23)
+    assert not report["passed"]
+    x, y, z = points[1 + 7 * first + 4:1 + 7 * first + 7]
+    assert report["witness"] == [x, y, z]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_refinement_of_a_perturbed_entry_fails(rank):
+    lat = LATTICES[rank]()
+    t = [[list(row) for row in plane] for plane in lat.tensor]
+    t[0][0][0] += 1
+    perturbed = TrilinearLattice(t)
+    h = cube_over_six(lat)
+    assert verify_refinement(lat, h, samples=200, seed=29)["passed"]
+    report = verify_refinement(perturbed, h, samples=200, seed=29)
+    assert not report["passed"]
+    assert report == old_refinement(perturbed, h, 200, 29)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_refinement_sees_a_denominator_only_h0_has(rank):
+    # h(0) = 1/7 and every other point over 6: the lcm must take in h(0)'s
+    # denominator, or its term floors to 0 and the triple passes
+    lat = LATTICES[rank]()
+    cube = cube_over_six(lat)
+
+    def h(v):
+        return Fraction(1, 7) if not any(v) else cube(v)
+
+    report = verify_refinement(lat, h, samples=50, seed=37)
+    assert report == old_refinement(lat, h, 50, 37)
+    assert report["witness"] == third_difference_points(rank, 1, 37)[-3:]
+
+
+def mixed_values(lattice, scale):
+    """T's refinement x^3/scale plus lower terms over 4 and 10, returned as
+    an int when integral, else as a Fraction or an unreduced "p/q" string."""
+
+    def h(v):
+        value = Fraction(lattice.cube(v), scale) + Fraction(v[0] ** 2, 4) - Fraction(v[-1], 10)
+        if value.denominator == 1:
+            return int(value)
+        if sum(v) % 2:
+            return "%d/%d" % (3 * value.numerator, 3 * value.denominator)
+        return value
+
+    return h
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_refinement_reads_int_fraction_and_string_values(rank):
+    lat = LATTICES[rank]()
+    kinds = set()
+    h = mixed_values(lat, 6)
+
+    def counted(v):
+        value = h(v)
+        kinds.add(type(value))
+        return value
+
+    report = verify_refinement(lat, counted, samples=200, seed=31)
+    assert report == old_refinement(lat, h, 200, 31) == {"passed": True, "samples": 200, "witness": None}
+    assert kinds == {int, Fraction, str}
+    # the control: the wrong scale fails, with the old witness
+    wrong = mixed_values(lat, 3)
+    report = verify_refinement(lat, wrong, samples=200, seed=31)
+    assert not report["passed"]
+    assert report == old_refinement(lat, wrong, 200, 31)
+
+
+def test_public_cube_and_trilinear_still_check_their_input():
+    lat = rank1_lattice()
+    with pytest.raises(TypeError):
+        lat.cube([1.5])
+    with pytest.raises(TypeError):
+        lat.trilinear([1], [1.5], [1])
+    with pytest.raises(TypeError):
+        lat.trilinear([1], [1], ["1"])
+    assert lat.cube(np.array([3])) == 27 and lat.trilinear((1,), [2], np.array([3])) == 6
 
 
 # ----------------------------------------------------------------------

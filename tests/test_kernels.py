@@ -732,3 +732,57 @@ def test_a_scalar_product_that_skips_its_gcd_step_differs(monkeypatch):
     skipped = poly * Fraction(3, 2)
     assert skipped.coeffs == expected.coeffs
     assert skipped != expected
+
+
+# ----------------------------------------------------------------------
+# kernel outputs are built in normal form, with no zero coefficient
+# ----------------------------------------------------------------------
+
+
+def off_normal_form(series):
+    """The grid exponents of ``series`` that hold a zero coefficient or lie
+    outside [0, GRID * order]."""
+    zero = series.ring.zero()
+    return sorted(k for k, c in series.terms.items()
+                  if c == zero or not (isinstance(k, int) and 0 <= k <= GRID * series.order))
+
+
+def _kernel_outputs():
+    """qs_mul, qs_exp and witten_log results, cancellations included."""
+    for a, b in _packed_cases().values():
+        yield qs_mul(a, b)
+    for ring in (RAT_RING, POLY_RING):
+        for step in (1, 3, 8, 12):
+            yield qs_mul(stepped(ring, step, 2, step), stepped(ring, step, 2, step + 100))
+    for order in (0, 1, 7, 24):
+        yield qs_exp(rational_exponent(order))
+        yield qs_exp(poly_exponent(order))
+    for step in (1, 5, 7):
+        yield qs_exp(QExpSeries(RAT_RING, 2, {step: Fraction(1, 3), 3 * step: Fraction(-2)}))
+    # exp(log(1 + u q)) = 1 + u q: every coefficient past q^1 cancels to 0
+    u = POLY_RING.gen("u")
+    for ring, unit in ((RAT_RING, Fraction(1)), (POLY_RING, u)):
+        log = QExpSeries(ring, 6, {GRID * j: unit ** j * Fraction((-1) ** (j + 1), j) for j in range(1, 7)})
+        assert qs_exp(log).terms == {0: ring.one(), GRID: unit}
+        yield qs_exp(log)
+    ring = charring.default_ring()
+    inputs = [charring.ch_tangent(12, ring), charring.line_pair_ch(ring.gen("c"))]
+    for spec_id in sorted(charring._WITTEN_SPECS):
+        for order in (1, 8):
+            yield from (series for series, _ in charring.witten_log(spec_id, inputs, order))
+
+
+def test_no_kernel_output_holds_a_zero_coefficient():
+    outputs = list(_kernel_outputs())
+    assert len(outputs) > 50
+    assert sum(len(series.terms) for series in outputs) > 500
+    assert [off_normal_form(series) for series in outputs] == [[]] * len(outputs)
+
+
+@pytest.mark.parametrize("ring", [RAT_RING, POLY_RING], ids=["rational", "poly"])
+def test_a_series_built_with_a_zero_coefficient_fails_the_check(ring):
+    # the control: the trusting constructor keeps whatever it is given
+    terms = {0: ring.one(), GRID: ring.zero(), 2 * GRID: ring.one()}
+    assert off_normal_form(exactmath._series(ring, 2, terms)) == [GRID]
+    assert off_normal_form(exactmath._series(ring, 1, terms)) == [GRID, 2 * GRID]
+    assert off_normal_form(QExpSeries(ring, 2, terms)) == []
