@@ -79,6 +79,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageErrors, so ``main`` reports
+    them in the one format of every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _cmd_verify(args):
     ids = args.id or ["all"]
     if "all" in ids:
@@ -226,7 +234,7 @@ def _cmd_theta_check(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charmod",
         description="Exact verification of a family of degree-12 identities, "
         "their modular factorizations, and the cubic-form lattice layer.",
@@ -270,7 +278,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _usage(exc)
     created = bool(args.output) and not os.path.lexists(args.output)
     code = _run(args)
     if created and code >= EXIT_USAGE and os.path.isfile(args.output):
@@ -291,14 +302,18 @@ def _run(args):
             _write_output(args.output, "a", "")
         return commands[args.subcommand](args)
     except (UsageError, ArgumentError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
     except PrecisionError as exc:
         print("precision: %s" % exc, file=sys.stderr)
         return EXIT_PRECISION
     except Exception as exc:  # pragma: no cover - defensive
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def _usage(exc):
+    print("error: %s" % exc, file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

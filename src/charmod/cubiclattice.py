@@ -10,12 +10,8 @@ basis pairs, and each congruence or identity between cubic polynomials on
 refinement it tests is an arbitrary callable.
 """
 
-from __future__ import annotations
-
-import json
 import random
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
@@ -87,11 +83,20 @@ class TrilinearLattice:
     def trilinear(self, x, y, z):
         """T(x, y, z) as an exact Python integer."""
         x, y, z = (list(map(index, v)) for v in (x, y, z))
+        if not len(x) == len(y) == len(z) == self.rank:
+            raise ValueError("vectors must have length %d, got %d, %d and %d"
+                             % (self.rank, len(x), len(y), len(z)))
+        return self._trilinear(x, y, z)
+
+    def _trilinear(self, x, y, z):
+        """`trilinear` of sequences of Python ints, not checked again."""
         return sum([t * x[i] * y[j] * z[k] for i, j, k, t in self._entries])
 
     def cube(self, x):
         """T(x, x, x) as an exact Python integer."""
         x = list(map(index, x))
+        if len(x) != self.rank:
+            raise ValueError("x must have length %d, got %d" % (self.rank, len(x)))
         return sum([t * x[i] * x[j] * x[k] for i, j, k, t in self._cube_entries])
 
     def _cube(self, x):
@@ -208,7 +213,7 @@ def _poly_f_tilde(lattice, a, shifted_b, x):
     ``shifted_b`` = b - 3a^2; the registry's cubic form with one E8 copy
     is L Q = -ftilde_{lam,p}(x)."""
     y = list(map(add, a, x))
-    quad = lattice.trilinear(a, y, y)
+    quad = lattice._trilinear(a, y, y)
     return 4 * lattice._cube(y) - 6 * quad - sum(map(mul, y, shifted_b))
 
 
@@ -272,6 +277,8 @@ def _ratio(value):
     try:
         return value.as_integer_ratio()
     except AttributeError:
+        from fractions import Fraction  # only here, so the lattice import loads no fractions
+
         return Fraction(value).as_integer_ratio()
 
 
@@ -285,15 +292,20 @@ def verify_refinement(lattice, h, samples=1000, seed=None):
     calls h 7 * samples + 1 times in a fixed order, h(0) once and then each
     triple's points in the order above, so any memo of h is the caller's.
     The eight values are summed as int numerators over their lcm.  Raises
-    ValueError for fewer than one sample, which would check nothing.
+    ValueError for a ``samples`` that is not an integer, or is below 1 and
+    so would check nothing.
     """
+    try:
+        samples = index(samples)
+    except TypeError:
+        raise ValueError("samples must be an integer, got %r" % (samples,)) from None
     if samples < 1:
         raise ValueError("samples must be at least 1, got %r" % (samples,))
     rng = random.Random(seed)
     n, entries = lattice.rank, lattice._entries
     n0, d0 = _ratio(h([0] * n))
     span = range(-9, 10)
-    for _ in range(int(samples)):
+    for _ in range(samples):
         drawn = rng.choices(span, k=3 * n)
         x, y, z = drawn[:n], drawn[n:2 * n], drawn[2 * n:]
         xy, xz, yz = list(map(add, x, y)), list(map(add, x, z)), list(map(add, y, z))
@@ -304,8 +316,8 @@ def verify_refinement(lattice, h, samples=1000, seed=None):
         total = (n1 * (den // d1) - n2 * (den // d2) - n3 * (den // d3) - n4 * (den // d4)
                  + n5 * (den // d5) + n6 * (den // d6) + n7 * (den // d7) - n0 * (den // d0))
         if total != sum([t * x[i] * y[j] * z[k] for i, j, k, t in entries]) * den:
-            return {"passed": False, "samples": int(samples), "witness": [x, y, z]}
-    return {"passed": True, "samples": int(samples), "witness": None}
+            return {"passed": False, "samples": samples, "witness": [x, y, z]}
+    return {"passed": True, "samples": samples, "witness": None}
 
 
 def _holds_bool(value):
@@ -321,6 +333,8 @@ def load_lattice_json(source):
     of any size, but not true or false.
     """
     if isinstance(source, str):
+        import json  # only here, so the lattice import loads no json
+
         with open(source) as handle:
             payload = json.load(handle)
     else:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from charmod.anomaly import VerificationReport
+from charmod.anomaly import REGISTRY_IDS, VerificationReport
 from charmod.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -180,10 +180,10 @@ def test_expand_q_series(capsys):
 
 
 def test_expand_unknown_class(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["expand", "--class", "nope"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    code, out, err = run_cli(capsys, "expand", "--class", "nope")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: argument --class: invalid choice: 'nope'")
 
 
 @pytest.mark.parametrize("name", EXPANDABLE)
@@ -191,13 +191,39 @@ def test_expand_rejects_negative_order(capsys, name, tmp_path):
     # checked where --order is parsed, so Ahat and Lhat, which read no
     # order, reject it too, and no --output file is made
     target = tmp_path / "out.txt"
-    with pytest.raises(SystemExit) as info:
-        main(["expand", "--class", name, "--order", "-1", "--output", str(target)])
-    captured = capsys.readouterr()
-    assert info.value.code == EXIT_USAGE
-    assert captured.out == ""
-    assert captured.err.endswith("error: argument --order: the series order must be at least 0, got -1\n")
+    code, out, err = run_cli(capsys, "expand", "--class", name, "--order", "-1", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: argument --order: the series order must be at least 0, got -1\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "--class", "Qc", "--order", "-1"],
+         "argument --order: the series order must be at least 0, got -1"),
+        (["verify", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        (["expand", "--class", "Qc", "--cap", "-1"], "the degree cap must be at least 0, got -1"),
+        (["verify", "--id", "nope"], "unknown id 'nope' (known: %s)" % ", ".join(REGISTRY_IDS)),
+    ],
+    ids=["expand-order", "verify-order", "expand-cap", "verify-id"],
+)
+def test_every_usage_error_is_one_error_line(capsys, argv, message):
+    # the parser's own errors and the commands' read alike: no usage lines
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: charmod")
 
 
 @pytest.mark.parametrize("name", EXPANDABLE)

@@ -56,6 +56,62 @@ def test_import_leaves_numpy_out():
     assert not {"dataclasses", "inspect", "numpy"} & set(cli)
 
 
+def run_fresh(code):
+    """Standard output of ``code`` run by a fresh interpreter on this package."""
+    import charmod
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(charmod.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+#: what the lattice core never runs: json and fractions (with decimal and
+#: numbers) are read only by load_lattice_json and _ratio's fallback
+DEFERRED = ("json", "_json", "fractions", "decimal", "_decimal", "numbers", "__future__")
+
+
+def modules_added_by(statement):
+    """The modules ``statement`` adds to a bare interpreter's sys.modules."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "%s\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n" % statement
+    )
+    return set(run_fresh(code).split())
+
+
+def deferred(modules):
+    return sorted(m for m in modules if m in DEFERRED or m.startswith("json."))
+
+
+def test_the_lattice_import_loads_no_json_or_fractions():
+    assert deferred(modules_added_by("import charmod.cubiclattice")) == []
+    # the control: the probe sees them where they are imported
+    assert {"json", "fractions"} <= set(deferred(modules_added_by("import charmod.cli")))
+
+
+def test_the_deferred_imports_run_in_a_fresh_interpreter(tmp_path):
+    # in-process tests run with json and fractions already loaded, so only a
+    # fresh interpreter reaches the imports inside the two functions
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"rank": 2, "trilinear": [[[0, 1], [1, 0]], [[1, 0], [0, 0]]]}))
+    code = (
+        "import sys\n"
+        "assert 'json' not in sys.modules and 'fractions' not in sys.modules\n"
+        "from charmod.cubiclattice import load_lattice_json, verify_refinement\n"
+        "lattice = load_lattice_json(%r)['lattice']\n"
+        "good = verify_refinement(lattice, lambda x: '%%d/6' %% lattice.cube(x), samples=20, seed=3)\n"
+        "bad = verify_refinement(lattice, lambda x: '%%d/5' %% lattice.cube(x), samples=20, seed=3)\n"
+        "print(lattice.rank, good['passed'], bad['passed'])\n" % str(path)
+    )
+    assert run_fresh(code).split() == ["2", "True", "False"]
+
+
 def rank1_lattice():
     return TrilinearLattice([[[1]]])
 
@@ -310,6 +366,22 @@ def test_refinement_that_samples_nothing_raises(samples):
         verify_refinement(rank1_lattice(), lambda v: Fraction(int(v[0]) ** 3, 6), samples=samples)
 
 
+@pytest.mark.parametrize("samples", [1.5, 2.0, "3", None])
+def test_refinement_samples_must_be_an_integer(samples):
+    # 1.5 used to run one sample and report 1; "3" and None hit a bare '<'
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        verify_refinement(rank1_lattice(), lambda v: Fraction(int(v[0]) ** 3, 6), samples=samples)
+
+
+def test_refinement_samples_read_any_integer_type():
+    def h(v):
+        return Fraction(int(v[0]) ** 3, 6)
+
+    report = verify_refinement(rank1_lattice(), h, samples=np.int64(3), seed=1)
+    assert report == verify_refinement(rank1_lattice(), h, samples=3, seed=1)
+    assert type(report["samples"]) is int
+
+
 def rank3_lattice():
     # symmetrization of x1^3 + 2 x1 x2 x3 - x2^2 x3 + 3 x3^3
     entries = {(0, 0, 0): 1, (0, 1, 2): 2, (1, 1, 2): -1, (2, 2, 2): 3}
@@ -475,6 +547,31 @@ def test_public_cube_and_trilinear_still_check_their_input():
     with pytest.raises(TypeError):
         lat.trilinear([1], [1], ["1"])
     assert lat.cube(np.array([3])) == 27 and lat.trilinear((1,), [2], np.array([3])) == 6
+
+
+def test_public_cube_and_trilinear_check_the_length():
+    lat = rank2_lattice()
+    # too long: the extra entries used to be ignored
+    with pytest.raises(ValueError, match="length 2, got 3"):
+        lat.cube([1, 2, 99])
+    with pytest.raises(ValueError, match="length 2, got 3, 2 and 3"):
+        lat.trilinear([1, 2, 5], [1, 2], [1, 2, 7])
+    # too short: cube used to raise IndexError
+    with pytest.raises(ValueError, match="length 2, got 1"):
+        lat.cube([1])
+    with pytest.raises(ValueError, match="length 2, got 2, 2 and 1"):
+        lat.trilinear([1, 2], [1, 2], [1])
+    # a zero tensor has no entries to index with, and still checks
+    zero = TrilinearLattice([[[0]]])
+    with pytest.raises(ValueError, match="length 1, got 3"):
+        zero.cube([5, 6, 7])
+    with pytest.raises(ValueError, match="length 1, got 0"):
+        zero.trilinear([], [1], [1])
+    # the controls: the right length, as lists or numpy int vectors
+    assert lat.cube([1, 2]) == 6 and lat.trilinear([1, 2], [1, 2], [1, 2]) == 6
+    assert lat.cube(np.array([1, 2])) == 6
+    assert lat.trilinear(np.array([1, 0]), (1, 0), np.array([0, 1], dtype=np.int32)) == 1
+    assert zero.cube([5]) == 0 and zero.trilinear([5], [6], [7]) == 0
 
 
 # ----------------------------------------------------------------------
