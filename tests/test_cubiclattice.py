@@ -29,33 +29,6 @@ from charmod.cubiclattice import (
 )
 
 
-def test_import_leaves_numpy_out():
-    # the package needs only the standard library; numpy is a test oracle.
-    # Each entry point loads only what it runs: the lattice layer alone, and
-    # no dataclasses (which pulls in inspect, ast, dis and tokenize) anywhere.
-    import charmod
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(charmod.__file__).parents[1])
-    code = (
-        "import json, sys\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('charmod')\n"
-        "                  or m in ('dataclasses', 'inspect', 'numpy'))\n"
-        "import charmod.cubiclattice\n"
-        "lattice = loaded()\n"
-        "import charmod.cli\n"
-        "print(json.dumps([lattice, loaded()]))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    lattice, cli = json.loads(result.stdout)
-    assert lattice == ["charmod", "charmod.cubiclattice"]
-    assert not {"dataclasses", "inspect", "numpy"} & set(cli)
-
-
 def run_fresh(code):
     """Standard output of ``code`` run by a fresh interpreter on this package."""
     import charmod
@@ -67,6 +40,25 @@ def run_fresh(code):
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def test_import_leaves_numpy_out():
+    # the package needs only the standard library; numpy is a test oracle.
+    # Each entry point loads only what it runs: the lattice layer alone, and
+    # no dataclasses (which pulls in inspect, ast, dis and tokenize) anywhere.
+    code = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('charmod')\n"
+        "                  or m in ('dataclasses', 'inspect', 'numpy'))\n"
+        "import charmod.cubiclattice\n"
+        "lattice = loaded()\n"
+        "import charmod.cli\n"
+        "print(json.dumps([lattice, loaded()]))\n"
+    )
+    lattice, cli = json.loads(run_fresh(code))
+    assert lattice == ["charmod", "charmod.cubiclattice"]
+    assert not {"dataclasses", "inspect", "numpy"} & set(cli)
 
 
 #: what the lattice core never runs: json and fractions (with decimal and
