@@ -355,10 +355,10 @@ def _q0_coefficient(base, k, ring):
     return _exp_nilpotent(_exponent(base, k, ring) * Fraction(1, 24)) * _weight_class(base, ring)
 
 
-def deg8_display_sides(reg_id, ring):
+def deg8_display_sides(reg_id, order, ring):
     """LHS (brace degree-8 part) and RHS (w times Q of the cubic form) of
     one display."""
-    base, k = _row(reg_id, _check_deg8)
+    base, k = _row(reg_id, deg8_display_sides)
     u = exp_minus_one_over(_exponent(base, k, ring))
     bundle = _index_bundle(k, display_bundles(ring)["V"], _q1_bundle(base, ring))
     brace = -(u * _weight_class(base, ring) * bundle) + _q0_coefficient(base, k, ring)
@@ -521,12 +521,12 @@ def _witness(lhs, rhs):
     return str(diff)
 
 
-def theorem_sides(reg_id, ring):
+def theorem_sides(reg_id, order, ring):
     """Degree-12 parts of a main identity with k copies: the cubic form
     L Q weighted 2wc/k (LHS) and the index density, the base's weight
     times the index bundle k V + R + 504 - 248 k, weighted c/k (RHS), with
     w and c the base's constants in `_BASES`."""
-    base, k = _row(reg_id, _check_theorem)
+    base, k = _row(reg_id, theorem_sides)
     w, c = _BASES[base][3:]
     L, Q = cubic_form(base, k, ring)
     bundle = _index_bundle(k, display_bundles(ring)["V"], _q1_bundle(base, ring))
@@ -535,27 +535,16 @@ def theorem_sides(reg_id, ring):
     return lhs.homogeneous_part(12), rhs.homogeneous_part(12)
 
 
-def _check_theorem(reg_id, order, cap):
-    lhs, rhs = theorem_sides(reg_id, default_ring(cap))
-    return _witness(lhs, rhs), [], [], {}
-
-
-def _check_fact(reg_id, order, cap):
+def _check_fact(reg_id, order, ring):
     base, k = _row(reg_id, _check_fact)
     weight = 6 + 4 * k
-    ring = default_ring(cap)
     kind = next(kind for kind, row in _CLASS_TABLE.items() if row == (base, k))
     s12 = degree_part_series(build_twisted_class(kind, order, ring), 12)
     try:
         m = match_modular_basis(s12, weight)
     except NotProportional as exc:
-        return (
-            "degree-12 part is not a multiple of the weight-%d form at q^(%s): %s"
-            % (weight, exc.order, exc.difference),
-            [],
-            [],
-            {},
-        )
+        witness = "degree-12 part is not a multiple of the weight-%d form at q^(%s): %s"
+        return witness % (weight, exc.order, exc.difference), [], [], {}
     data = {"multiplier": str(m)}
     if m == 0:
         return "degree-12 part vanishes (multiplier 0)", [], [], data
@@ -566,12 +555,7 @@ def _check_fact(reg_id, order, cap):
     return "", [], [], data
 
 
-def _check_deg8(reg_id, order, cap):
-    lhs, rhs = deg8_display_sides(reg_id, default_ring(cap))
-    return _witness(lhs, rhs), [], [], {}
-
-
-def bundle_xi_sides(reg_id, ring):
+def bundle_xi_sides(reg_id, order, ring):
     """Characters of the reduced-bundle form (LHS) and the xi form (RHS) of
     one bundle identity."""
     b = display_bundles(ring)
@@ -583,32 +567,20 @@ def bundle_xi_sides(reg_id, ring):
     return lhs, rhs
 
 
-def _check_bundle(reg_id, order, cap):
-    lhs, rhs = bundle_xi_sides(reg_id, default_ring(cap))
-    return _witness(lhs, rhs), [], [], {}
+def sqrt_sides(reg_id, order, ring):
+    """Rc^2 (LHS) and Qc Wc (RHS) through q^order."""
+    r_c, q_c, w_c = (build_twisted_class(kind, order, ring) for kind in ("Rc", "Qc", "Wc"))
+    return qs_mul(r_c, r_c), qs_mul(q_c, w_c)
 
 
-def _check_sqrt(reg_id, order, cap):
-    ring = default_ring(cap)
-    r_c = build_twisted_class("Rc", order, ring)
-    q_c = build_twisted_class("Qc", order, ring)
-    w_c = build_twisted_class("Wc", order, ring)
-    return _witness(qs_mul(r_c, r_c), qs_mul(q_c, w_c)), [], [], {}
-
-
-def q1_bundle_sides(reg_id, ring):
+def q1_bundle_sides(reg_id, order, ring):
     """Character of the q^1 coefficient of the base's Witten series (LHS)
     and of the displayed bundle B1 or D1 (RHS)."""
-    base, _ = _row(reg_id, _check_q1_bundle)
+    base, _ = _row(reg_id, q1_bundle_sides)
     return witten_character(*_witten_args(base, ring), 1).coefficient(1), _q1_bundle(base, ring)
 
 
-def _check_q1_bundle(reg_id, order, cap):
-    lhs, rhs = q1_bundle_sides(reg_id, default_ring(cap))
-    return _witness(lhs, rhs), [], [], {}
-
-
-def _check_residues(reg_id, order, cap):
+def _check_residues(reg_id, order, ring):
     """Residues mod 2 of a base's degree-8 class p, of p~ = p - 3 lam^2 and,
     for spin^c, of lam = K_0 / 2, with p and lam read from `_P_CLASSES` and
     `_BASES` as `cubic_form` reads them.  For spin^c each class is written
@@ -662,37 +634,37 @@ def _check_residues(reg_id, order, cap):
 _integral_ring = lru_cache(maxsize=None)(lambda: PolyRing({"q1": 4, "q2": 8, "c": 2}, cap=8))
 
 
-def _check_differ(reg_id, order, cap):
-    witness, findings, data = verify_differ(reg_id, cap=cap)
+def _check_differ(reg_id, order, ring):
+    witness, findings, data = verify_differ(reg_id, cap=ring.cap)
     return witness, findings, [], data
 
 
 #: Every registry id, in report order, as (check, base, E8 copies k), with
 #: None where its check reads no base or no k; b1_check and d1_check read
 #: the untwisted Witten series.  Every weight of a row follows from k and
-#: the base's constants in `_BASES`.  A check takes ``(reg_id, order, cap)``
-#: and returns ``(witness, findings, assumptions, data)``; it reaches the
-#: side builders through this module's globals.
+#: the base's constants in `_BASES`.  A check takes ``(reg_id, order, ring)``;
+#: a two-sided id's check is its sides builder and returns ``(lhs, rhs)``,
+#: any other ``(witness, findings, assumptions, data)``.
 _REGISTRY = {
-    "wfh_main": (_check_theorem, "spin", 2),
-    "spin_new": (_check_theorem, "spin", 1),
-    "spinc_main": (_check_theorem, "spinc", 2),
-    "spinc_new": (_check_theorem, "spinc", 1),
-    "o1": (_check_theorem, "orient", 2),
-    "o2": (_check_theorem, "orient", 1),
+    "wfh_main": (theorem_sides, "spin", 2),
+    "spin_new": (theorem_sides, "spin", 1),
+    "spinc_main": (theorem_sides, "spinc", 2),
+    "spinc_new": (theorem_sides, "spinc", 1),
+    "o1": (theorem_sides, "orient", 2),
+    "o2": (theorem_sides, "orient", 1),
     "fact_spinc_q": (_check_fact, "spinc", 2),
     "fact_spinc_r": (_check_fact, "spinc", 1),
     "fact_orient_q": (_check_fact, "orient", 2),
     "fact_orient_r": (_check_fact, "orient", 1),
-    "deg8_spinc_q": (_check_deg8, "spinc", 2),
-    "deg8_spinc_r": (_check_deg8, "spinc", 1),
-    "deg8_orient_q": (_check_deg8, "orient", 2),
-    "deg8_orient_r": (_check_deg8, "orient", 1),
-    "bundle_xi_plus": (_check_bundle, None, None),
-    "bundle_xi_minus": (_check_bundle, None, None),
-    "sqrt_relation": (_check_sqrt, None, None),
-    "b1_check": (_check_q1_bundle, "spinc", 0),
-    "d1_check": (_check_q1_bundle, "orient", 0),
+    "deg8_spinc_q": (deg8_display_sides, "spinc", 2),
+    "deg8_spinc_r": (deg8_display_sides, "spinc", 1),
+    "deg8_orient_q": (deg8_display_sides, "orient", 2),
+    "deg8_orient_r": (deg8_display_sides, "orient", 1),
+    "bundle_xi_plus": (bundle_xi_sides, None, None),
+    "bundle_xi_minus": (bundle_xi_sides, None, None),
+    "sqrt_relation": (sqrt_sides, None, None),
+    "b1_check": (q1_bundle_sides, "spinc", 0),
+    "d1_check": (q1_bundle_sides, "orient", 0),
     "pc_theorem": (_check_residues, "spinc", None),
     "mod2_orientable": (_check_residues, "orient", None),
     "differ1": (_check_differ, None, 2),
@@ -700,8 +672,8 @@ _REGISTRY = {
 }
 
 REGISTRY_IDS = tuple(_REGISTRY)
-THEOREM_IDS = tuple(i for i in REGISTRY_IDS if _REGISTRY[i][0] is _check_theorem)
-DEG8_IDS = tuple(i for i in REGISTRY_IDS if _REGISTRY[i][0] is _check_deg8)
+THEOREM_IDS = tuple(i for i in REGISTRY_IDS if _REGISTRY[i][0] is theorem_sides)
+DEG8_IDS = tuple(i for i in REGISTRY_IDS if _REGISTRY[i][0] is deg8_display_sides)
 
 
 def _row(reg_id, check):
@@ -729,7 +701,10 @@ def verify_identity(reg_id, order=6, cap=12):
     if order < 1:
         raise ArgumentError("order must be at least 1 to match q^1 in the fact checks, got %d" % order)
     started = time.perf_counter()
-    witness, findings, assumptions, data = _REGISTRY[reg_id][0](reg_id, order, cap)
+    outcome = _REGISTRY[reg_id][0](reg_id, order, default_ring(cap))
+    if len(outcome) == 2:
+        outcome = _witness(*outcome), [], [], {}
+    witness, findings, assumptions, data = outcome
     millis = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         id=reg_id,

@@ -138,6 +138,8 @@ def _cmd_lattice(args):
         data = load_lattice_json(args.file)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise UsageError("cannot load %s: %s" % (args.file, exc))
+    except RecursionError:
+        raise UsageError("cannot load %s: JSON nested too deeply" % args.file) from None
     lattice, spec = data["lattice"], data["spec"]
     modulus = data["modulus"]
 

@@ -330,13 +330,15 @@ def load_lattice_json(source):
 
     Expected keys: rank, trilinear (full n x n x n array), and optionally
     a (default zero), b and modulus (default 24).  Entries may be integers
-    of any size, but not true or false.
+    of any size, but not true or false.  A file must hold a JSON object.
     """
     if isinstance(source, str):
         import json  # only here, so the lattice import loads no json
 
         with open(source) as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError("the file must hold a JSON object")
     else:
         payload = dict(source)
     for key, value in payload.items():

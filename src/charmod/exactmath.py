@@ -204,12 +204,6 @@ class QExpSeries:
             raise GridError("negative shifts would leave the grid")
         return QExpSeries(self.ring, self.order, {k + shift: c for k, c in self.terms.items()})
 
-    def truncate(self, order):
-        order = int(order)
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QExpSeries(self.ring, order, self.terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, QExpSeries)

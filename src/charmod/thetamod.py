@@ -284,15 +284,20 @@ def _e2_numeric(tau, terms):
 
 
 def _tail_bound(tau, v, terms):
-    q_abs = abs(cmath.exp(2j * cmath.pi * tau))
-    z_abs = abs(cmath.exp(2j * cmath.pi * v)) if v is not None else 1.0
-    growth = max(z_abs, 1.0 / z_abs, 1.0)
-    if q_abs >= 1:
+    """A bound on the truncation tail, or inf where it cannot be evaluated:
+    |q| >= 1, |z| underflowing to 0, or an exponential overflowing."""
+    try:
+        q_abs = abs(cmath.exp(2j * cmath.pi * tau))
+        z_abs = abs(cmath.exp(2j * cmath.pi * v)) if v is not None else 1.0
+        if q_abs >= 1 or z_abs == 0:
+            return float("inf")
+        growth = max(z_abs, 1.0 / z_abs, 1.0)
+        # dropped factors deviate from 1 by <= 3*growth*q^j each; bound the sum
+        # of the tail and multiply by a bound on the product magnitude itself
+        lead = q_abs ** (terms + 0.5) * growth
+        magnitude = cmath.exp(6.0 * growth * q_abs / (1 - q_abs)).real
+    except OverflowError:
         return float("inf")
-    # dropped factors deviate from 1 by <= 3*growth*q^j each; bound the sum of
-    # the tail and multiply by a bound on the product magnitude itself
-    lead = q_abs ** (terms + 0.5) * growth
-    magnitude = cmath.exp(6.0 * growth * q_abs / (1 - q_abs)).real
     return 60.0 * (terms + 2) ** 2 * lead / (1 - q_abs) * magnitude
 
 

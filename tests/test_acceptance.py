@@ -65,7 +65,7 @@ def test_criterion_01_registry_order6():
 
     ring = default_ring()
     displays_vanish = all(
-        (lambda sides: (sides[0] - sides[1]).is_zero())(theorem_sides(reg_id, ring))
+        (lambda sides: (sides[0] - sides[1]).is_zero())(theorem_sides(reg_id, 1, ring))
         for reg_id in THEOREM_IDS
     )
 

@@ -155,10 +155,10 @@ def test_registry_rejects_settings_that_make_checks_vacuous():
 
 
 def test_fact_check_fails_on_zero_multiplier():
-    witness, _, _, data = _check_fact("fact_spinc_q", 3, 8)
+    witness, _, _, data = _check_fact("fact_spinc_q", 3, default_ring(8))
     assert "multiplier 0" in witness
     assert data["multiplier"] == "0"
-    witness, _, _, data = _check_fact("fact_spinc_q", 3, 12)
+    witness, _, _, data = _check_fact("fact_spinc_q", 3, default_ring(12))
     assert witness == ""
     assert data["multiplier"] != "0"
 
@@ -228,34 +228,54 @@ def test_q1_coefficient_is_read_at_order_1(name, keys):
     assert witten_expand(name, args, 1)[Fraction(1)] == witten_expand(name, args, 8)[Fraction(1)]
 
 
-SIDES = (
-    [(reg_id, "theorem_sides") for reg_id in THEOREM_IDS]
-    + [(reg_id, "deg8_display_sides") for reg_id in DEG8_IDS]
-    + [(reg_id, "bundle_xi_sides") for reg_id in ("bundle_xi_plus", "bundle_xi_minus")]
-    + [(reg_id, "q1_bundle_sides") for reg_id in ("b1_check", "d1_check")]
-)
+#: Every id whose check is its sides builder, with the builder's name.
+TWO_SIDED = [
+    (reg_id, row[0].__name__)
+    for reg_id, row in anomaly._REGISTRY.items()
+    if row[0].__name__.endswith("_sides")
+]
 
 
-@pytest.mark.parametrize("reg_id, sides", SIDES)
+def _swap_sides(monkeypatch, reg_id, lhs, rhs):
+    """Make the registry row of ``reg_id`` return the fixed sides."""
+    row = anomaly._REGISTRY[reg_id]
+    monkeypatch.setitem(anomaly._REGISTRY, reg_id, (lambda reg_id, order, ring: (lhs, rhs),) + row[1:])
+
+
+def test_fifteen_ids_compare_two_sides():
+    # six theorems, four degree-8 displays, two xi bundles, Rc^2 = Qc Wc
+    # and the two q^1 bundles
+    assert len(TWO_SIDED) == 15
+    assert {sides for _, sides in TWO_SIDED} == {
+        "theorem_sides", "deg8_display_sides", "bundle_xi_sides", "sqrt_sides", "q1_bundle_sides"
+    }
+
+
+@pytest.mark.parametrize("reg_id, sides", TWO_SIDED)
 def test_check_fails_when_both_sides_are_zero(monkeypatch, reg_id, sides):
     assert verify_identity(reg_id, order=1).passed
-    zero = default_ring().zero()
-    monkeypatch.setattr(anomaly, sides, lambda reg_id, ring: (zero, zero))
+    _, rhs = anomaly._REGISTRY[reg_id][0](reg_id, 1, default_ring())
+    zero = rhs - rhs
+    _swap_sides(monkeypatch, reg_id, zero, zero)
     report = verify_identity(reg_id, order=1)
     assert report.status == "fail"
     assert report.witness == "both sides are 0"
 
 
-def test_sqrt_relation_fails_when_both_sides_are_zero(monkeypatch):
-    assert verify_identity("sqrt_relation", order=1).passed
-    monkeypatch.setattr(
-        anomaly,
-        "build_twisted_class",
-        lambda kind, order, ring: QExpSeries.zero(ring, order),
-    )
-    report = verify_identity("sqrt_relation", order=1)
+@pytest.mark.parametrize("reg_id, sides", TWO_SIDED)
+def test_check_fails_when_the_rhs_is_shifted(monkeypatch, reg_id, sides):
+    # RHS + x, or RHS + x q for the series id, leaves -x as the witness
+    ring = default_ring()
+    x = ring.gen("x")
+    lhs, rhs = anomaly._REGISTRY[reg_id][0](reg_id, 1, ring)
+    if isinstance(rhs, QExpSeries):
+        shifted, witness = rhs + QExpSeries(ring, 1, {GRID: x}), "q^(1): -x"
+    else:
+        shifted, witness = rhs + x, "-x"
+    _swap_sides(monkeypatch, reg_id, lhs, shifted)
+    report = verify_identity(reg_id, order=1)
     assert report.status == "fail"
-    assert report.witness == "both sides are 0"
+    assert report.witness == witness
 
 
 def test_witness_of_polynomial_and_series_sides():
@@ -289,20 +309,20 @@ def test_report_round_trip():
 def test_theorem_sides_vanish():
     ring = default_ring()
     for reg_id in THEOREM_IDS:
-        lhs, rhs = theorem_sides(reg_id, ring)
+        lhs, rhs = theorem_sides(reg_id, 1, ring)
         assert (lhs - rhs).is_zero(), reg_id
     with pytest.raises(ValueError):
-        theorem_sides("sqrt_relation", ring)
+        theorem_sides("sqrt_relation", 1, ring)
 
 
 def test_side_builders_reject_ids_of_other_checks():
     ring = default_ring()
     with pytest.raises(ValueError):
-        deg8_display_sides("wfh_main", ring)
+        deg8_display_sides("wfh_main", 1, ring)
     with pytest.raises(ValueError):
         verify_differ("o1")
     with pytest.raises(ValueError):
-        anomaly.q1_bundle_sides("fact_spinc_q", ring)
+        anomaly.q1_bundle_sides("fact_spinc_q", 1, ring)
 
 
 def test_registry_weights_match_the_paper(monkeypatch):
@@ -314,12 +334,12 @@ def test_registry_weights_match_the_paper(monkeypatch):
         key, form_weight, index_weight = PAPER_WEIGHTS[reg_id]
         L, Q = forms[key]
         density = anomaly._weight_class(key[0], ring) * bundles[key]
-        lhs, rhs = theorem_sides(reg_id, ring)
+        lhs, rhs = theorem_sides(reg_id, 1, ring)
         assert lhs == (L * Q * form_weight).homogeneous_part(12), reg_id
         assert rhs == (density * index_weight).homogeneous_part(12), reg_id
     for reg_id in DEG8_IDS:
         key, weight = PAPER_WEIGHTS[reg_id]
-        assert deg8_display_sides(reg_id, ring)[1] == forms[key][1] * weight, reg_id
+        assert deg8_display_sides(reg_id, 1, ring)[1] == forms[key][1] * weight, reg_id
     seen = []
 
     def recording(series, weight):
@@ -352,8 +372,8 @@ def test_twisted_identities_specialize_to_plain():
     # setting the degree-2 generator to zero halves each twisted display
     ring = default_ring()
     for twisted_id, plain_id in (("spinc_main", "wfh_main"), ("spinc_new", "spin_new")):
-        t_lhs, t_rhs = theorem_sides(twisted_id, ring)
-        p_lhs, p_rhs = theorem_sides(plain_id, ring)
+        t_lhs, t_rhs = theorem_sides(twisted_id, 1, ring)
+        p_lhs, p_rhs = theorem_sides(plain_id, 1, ring)
         assert _drop_c(t_lhs) == 2 * _drop_c(p_lhs), twisted_id
         assert _drop_c(t_rhs) == 2 * _drop_c(p_rhs), twisted_id
 

@@ -401,6 +401,27 @@ def test_lattice_bad_file(capsys, tmp_path):
         assert "cannot load" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "must hold a JSON object"),
+        ('"lattice"', "must hold a JSON object"),
+        ("24", "must hold a JSON object"),
+        ("null", "must hold a JSON object"),
+        ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    ],
+    ids=["list", "string", "number", "null", "deep"],
+)
+def test_lattice_file_without_a_json_object(capsys, tmp_path, text, message):
+    # json.load reads each of these, but none is a lattice
+    path = tmp_path / "lat.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "lattice", "--file", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "cannot load" in err and message in err
+
+
 # ----------------------------------------------------------------------
 # e8
 # ----------------------------------------------------------------------
@@ -512,9 +533,20 @@ def test_theta_check_rejects_meaningless_terms_and_tol(capsys, flag, value, mess
     assert message in err
 
 
-def test_theta_check_precision_exit(capsys):
-    code, out, err = run_cli(
-        capsys, "theta-check", "--kind", "theta", "--tau", "0.02i", "--terms", "6"
-    )
+@pytest.mark.parametrize(
+    "kind, point",
+    [
+        ("theta", ["--tau=0.02i", "--terms=6"]),
+        # the tail bound's exponentials overflow, or |z| underflows to 0
+        ("theta", ["--tau=0.1+1i", "--v=0+100i"]),
+        ("theta1", ["--tau=0.1+1i", "--v=0-1e200i"]),
+        ("theta2", ["--tau=0.1+1i", "--v=0+1e200i"]),
+        ("E2", ["--tau=0.1+1i", "--v=1e300"]),
+    ],
+    ids=["few-terms", "v-100i", "v-minus-1e200i", "v-1e200i", "v-1e300"],
+)
+def test_theta_check_precision_exit(capsys, kind, point):
+    code, out, err = run_cli(capsys, "theta-check", "--kind", kind, *point)
     assert code == EXIT_PRECISION
-    assert "precision" in err
+    assert out == ""
+    assert err.startswith("precision: ")

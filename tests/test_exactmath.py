@@ -70,13 +70,6 @@ def test_negative_grid_exponent_rejected():
         QExpSeries(RAT_RING, 2, {-1: Fraction(1)})
 
 
-def test_truncation_drops_high_terms():
-    s = series([1, 1, 1, 1, 1])
-    t = s.truncate(2)
-    assert t.order == 2
-    assert t.coefficient(3) == 0
-
-
 def test_mul_matches_cauchy_product():
     a = series([1, 2, 0, 5])
     b = series([3, 0, 1, 7])

@@ -127,6 +127,27 @@ def test_qs_exp_check_flags_every_other_reader():
     assert functions_referencing(source, "qs_exp") == ["<module>", "exp_combination", "inner"]
 
 
+def test_only_the_engine_and_verify_differ_compare_sides():
+    # a two-sided registry id returns its sides, and verify_identity
+    # compares them in its one `_witness` call
+    found = {
+        path.name: functions_referencing(path.read_text(), "_witness")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {module: names for module, names in found.items() if names} == {
+        "anomaly.py": ["verify_differ", "verify_identity"]
+    }
+
+
+def test_witness_check_flags_a_wrapper():
+    source = (
+        "def _witness(lhs, rhs):\n    return ''\n"
+        "def verify_identity(reg_id):\n    return _witness(*sides(reg_id))\n"
+        "def _check_theorem(reg_id):\n    return _witness(*sides(reg_id)), [], [], {}\n"
+    )
+    assert functions_referencing(source, "_witness") == ["_check_theorem", "verify_identity"]
+
+
 def _is_builtin_exception(name):
     value = getattr(builtins, name, None)
     return isinstance(value, type) and issubclass(value, BaseException)
